@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from enum import EnumMeta
 from pathlib import Path
 
-from .contracts import first_best_menu, menu_to_csv, second_best_menu
-from .distributions import TypeDistribution, TypeGrid
+from .contracts import menu_to_csv
+from .distributions import TypeDistribution
 from .selection import (
     SelectionProblem,
     best_snr_baseline,
@@ -27,126 +28,95 @@ from .simulate import (
     ExperimentConfig,
     Information,
     MenuKind,
+    broadcast_menu,
     reproduce_table3,
     run_experiment,
     table3_to_csv,
 )
 
-_CONFIG_KEYS = {
-    "dist",
-    "quant",
-    "subcarriers",
-    "relays",
-    "budget",
-    "cost",
-    "trials",
-    "seed",
-    "resolution",
-    "menu",
-    "information",
+_DIST_ARGS = {
+    "uniform": ("low", "high"),
+    "truncated_exponential": ("low", "high", "rate"),
+    "empirical": ("cdf_points",),
 }
 
-_DIST_KEYS = {"kind", "low", "high", "rate", "cdf_points"}
 
-
-def _parse_dist(spec: dict) -> TypeDistribution:
-    unknown = set(spec) - _DIST_KEYS
+def _parse_dist(spec) -> TypeDistribution:
+    if not isinstance(spec, dict):
+        raise ValueError("expected a JSON object")
+    unknown = set(spec) - {"kind"}.union(*_DIST_ARGS.values())
     if unknown:
         raise ValueError(f"unknown distribution keys: {sorted(unknown)}")
     kind = spec.get("kind", "uniform")
-    if kind == "uniform":
-        return TypeDistribution.uniform(spec["low"], spec["high"])
-    if kind == "truncated_exponential":
-        return TypeDistribution.truncated_exponential(
-            spec["low"], spec["high"], spec["rate"]
-        )
-    if kind == "empirical":
-        return TypeDistribution.empirical([tuple(p) for p in spec["cdf_points"]])
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    if kind not in _DIST_ARGS:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    missing = [key for key in _DIST_ARGS[kind] if key not in spec]
+    if missing:
+        raise ValueError(f"{kind} distribution needs keys {missing}")
+    return getattr(TypeDistribution, kind)(*(spec[key] for key in _DIST_ARGS[kind]))
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return raw
+def _sweep(kind):
+    """Parser of one value or a sweep: comma-separated text or a JSON list."""
+
+    def sweep(value):
+        parts = [str(p) for p in value] if isinstance(value, list) else value.split(",")
+        values = tuple(kind(p) for p in parts if p.strip())
+        if not values:
+            raise ValueError("expected a value or a comma-separated sweep")
+        return values[0] if len(values) == 1 else values
+
+    return sweep
+
+
+# One row per experiment parameter: JSON key and flag name, ExperimentConfig
+# field, parser of a flag or JSON value, flag help (None: config file only).
+_CONFIG = (
+    ("dist", "dist", _parse_dist, None),
+    ("seed", "seed", int, "master random seed"),
+    ("budget", "budget", _sweep(float), "budget or comma-separated sweep"),
+    ("relays", "relays", _sweep(int), "relay count or comma-separated sweep"),
+    ("subcarriers", "subcarriers", int, "number of OFDM subcarriers"),
+    ("quant", "quant", int, "quantization factor K"),
+    ("cost", "cost_coeff", float, "cost per unit relay power c"),
+    ("trials", "trials", int, "Monte Carlo trials per sweep cell"),
+    ("resolution", "resolution", int, "money units per 1.0 for the knapsack DP"),
+    ("menu", "menu_kind", MenuKind, "broadcast menu kind"),
+    ("information", "information", Information, "information regime"),
+)
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw = _load_config(getattr(args, "config", None))
-    kwargs: dict = {}
-    if "dist" in raw:
-        kwargs["dist"] = _parse_dist(raw["dist"])
-    for key, field in (
-        ("quant", "quant"),
-        ("subcarriers", "subcarriers"),
-        ("relays", "relays"),
-        ("budget", "budget"),
-        ("cost", "cost_coeff"),
-        ("trials", "trials"),
-        ("seed", "seed"),
-        ("resolution", "resolution"),
-    ):
+    """Config file values, then explicit flags over them."""
+    raw = {}
+    if args.config is not None:
+        raw = json.loads(Path(args.config).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = set(raw) - {row[0] for row in _CONFIG}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, field, parse, _ in _CONFIG:
         if key in raw:
-            kwargs[field] = raw[key]
-    if "menu" in raw:
-        kwargs["menu_kind"] = MenuKind(raw["menu"])
-    if "information" in raw:
-        kwargs["information"] = Information(raw["information"])
-
-    overrides = {
-        "quant": getattr(args, "quant", None),
-        "subcarriers": getattr(args, "subcarriers", None),
-        "relays": getattr(args, "relays", None),
-        "budget": getattr(args, "budget", None),
-        "cost_coeff": getattr(args, "cost", None),
-        "trials": getattr(args, "trials", None),
-        "seed": getattr(args, "seed", None),
-        "resolution": getattr(args, "resolution", None),
-        "menu_kind": MenuKind(args.menu) if getattr(args, "menu", None) else None,
-        "information": Information(args.information)
-        if getattr(args, "information", None)
-        else None,
-    }
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
+            value = raw[key] if isinstance(raw[key], (dict, list)) else str(raw[key])
+            try:
+                kwargs[field] = parse(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        if getattr(args, key, None) is not None:
+            kwargs[field] = getattr(args, key)
     return ExperimentConfig(**kwargs)
-
-
-def _int_list(text: str) -> int | tuple[int, ...]:
-    parts = [int(p) for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("expected an integer or comma list")
-    return parts[0] if len(parts) == 1 else tuple(parts)
-
-
-def _float_list(text: str) -> float | tuple[float, ...]:
-    parts = [float(p) for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("expected a number or comma list")
-    return parts[0] if len(parts) == 1 else tuple(parts)
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON experiment config file")
-    sub.add_argument("--seed", type=int, help="master random seed")
-    sub.add_argument("--budget", type=_float_list, help="budget or comma-separated sweep")
-    sub.add_argument("--relays", type=_int_list, help="relay count or comma-separated sweep")
-    sub.add_argument("--subcarriers", type=int, help="number of OFDM subcarriers")
-    sub.add_argument("--quant", type=int, help="quantization factor K")
-    sub.add_argument("--cost", type=float, help="cost per unit relay power c")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trials per sweep cell")
-    sub.add_argument("--resolution", type=int, help="money units per 1.0 for the knapsack DP")
-    sub.add_argument("--menu", choices=[m.value for m in MenuKind], help="broadcast menu kind")
-    sub.add_argument(
-        "--information",
-        choices=[i.value for i in Information],
-        help="information regime",
-    )
+    for key, _, parse, help_text in _CONFIG:
+        if help_text is None:
+            continue
+        choices = [c.value for c in parse] if isinstance(parse, EnumMeta) else None
+        metavar = "{" + ",".join(choices) + "}" if choices else None
+        sub.add_argument(f"--{key}", type=parse, metavar=metavar, help=help_text)
     sub.add_argument("--out", help="output CSV path (default: stdout)")
 
 
@@ -192,13 +162,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_contracts(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
-    grid = TypeGrid.from_distribution(config.dist, config.quant, config.subcarriers)
-    if config.menu_kind is MenuKind.FIRST_BEST:
-        menu = first_best_menu(grid, config.cost_coeff)
-    else:
-        menu = second_best_menu(grid, config.cost_coeff)
-    _emit(menu_to_csv(menu), args.out)
+    _emit(menu_to_csv(broadcast_menu(_experiment_config(args))), args.out)
     return 0
 
 

@@ -127,13 +127,13 @@ def relay_utility(pair: ContractPair, theta: float, cost_coeff: float) -> float:
     return pair.transfer - cost_coeff * pair.snr / theta
 
 
-def _snr_from_marginal_cost(chat: float) -> float:
-    """Maximizer of 0.5*log2(1+g) - chat*g over g >= 0.
+def _snr_from_marginal_cost(chat):
+    """Maximizer of 0.5*log2(1+g) - chat*g over g >= 0, elementwise.
 
-    Shared by the first-best contract and the top of the second-best menu so
-    the no-distortion-at-the-top identity holds bitwise.
+    The one first-best SNR formula: every menu and the complete-information
+    offers use it, so the no-distortion-at-the-top identity holds bitwise.
     """
-    return max(1.0 / (_TWO_LN2 * chat) - 1.0, 0.0)
+    return np.maximum(1.0 / (_TWO_LN2 * chat) - 1.0, 0.0)
 
 
 def first_best_contract(theta: float, cost_coeff: float) -> ContractPair:
@@ -142,7 +142,7 @@ def first_best_contract(theta: float, cost_coeff: float) -> ContractPair:
         raise ValueError("relay type must be positive")
     if cost_coeff <= 0.0:
         raise ValueError("cost coefficient must be positive")
-    snr = _snr_from_marginal_cost(cost_coeff / theta)
+    snr = float(_snr_from_marginal_cost(cost_coeff / theta))
     return ContractPair(snr, cost_coeff * snr / theta)
 
 
@@ -208,10 +208,9 @@ def second_best_menu(grid: TypeGrid, cost_coeff: float) -> ContractMenu:
     ratios, lengths = _pava_nonincreasing(
         virtual_w[: n_live - 1], own_mass[: n_live - 1]
     )
-    chat = np.repeat(ratios, lengths) if ratios else np.empty(0)
+    chat = np.append(np.repeat(ratios, lengths), cost_coeff / deltas[n_live - 1])
     gammas = np.empty(k)
-    gammas[: n_live - 1] = [_snr_from_marginal_cost(c) for c in chat]
-    gammas[n_live - 1] = _snr_from_marginal_cost(cost_coeff / deltas[n_live - 1])
+    gammas[:n_live] = _snr_from_marginal_cost(chat)
     gammas[n_live:] = gammas[n_live - 1]
     pooled = len(ratios) < n_live - 1 or n_live < k
 
@@ -244,7 +243,7 @@ def continuous_second_best_snr(
         raise ValueError(f"type density vanishes at {theta}")
     hazard = (1.0 - dist.cdf(theta)) / density
     chat = cost_coeff / theta + cost_coeff * hazard / theta**2
-    return _snr_from_marginal_cost(chat)
+    return float(_snr_from_marginal_cost(chat))
 
 
 def continuous_schedule(
@@ -276,11 +275,24 @@ def select_best_contract(menu: ContractMenu, theta: float) -> int | None:
     None means every pair yields strictly negative utility, so the relay
     keeps the null contract (0, 0).  Ties break toward the lowest index.
     """
-    if theta <= 0.0:
+    best = int(_best_response(menu.snrs, menu.transfers, menu.cost_coeff, theta))
+    return None if best < 0 else best
+
+
+def _best_response(snrs: np.ndarray, transfers: np.ndarray, cost_coeff: float, types):
+    """Index of the preferred menu pair at every true type in `types`, or -1.
+
+    The library's one best-response rule: the first pair of maximal
+    utility t - c*snr/theta, or -1 (the null contract) when that utility is
+    strictly negative.  Types must be positive.
+    """
+    types = np.asarray(types, dtype=float)
+    if not np.all(types > 0.0):
         raise ValueError("relay type must be positive")
-    utilities = menu.transfers - menu.cost_coeff * menu.snrs / theta
-    best = int(np.argmax(utilities))
-    return None if utilities[best] < 0.0 else best
+    utilities = transfers - cost_coeff * snrs / types[..., None]
+    best = utilities.argmax(axis=-1)
+    keep = np.take_along_axis(utilities, best[..., None], axis=-1)[..., 0] >= 0.0
+    return np.where(keep, best, -1)
 
 
 def verify_menu(menu: ContractMenu, tol: float = MONEY_TOL) -> MenuAudit:

@@ -95,6 +95,8 @@ class TypeDistribution:
         cls, cdf_points: Sequence[tuple[float, float]]
     ) -> "TypeDistribution":
         pts = tuple((float(g), float(p)) for g, p in cdf_points)
+        if len(pts) < 2:
+            raise ValueError("empirical distribution needs at least two cdf points")
         return cls(
             DistributionKind.EMPIRICAL, pts[0][0], pts[-1][0], cdf_points=pts
         )

@@ -65,8 +65,8 @@ class OfferMatrix:
         transfer = np.ascontiguousarray(self.transfer, dtype=float)
         if snr.ndim != 2 or snr.shape != transfer.shape:
             raise ValueError("snr and transfer must be equal-shape 2-D arrays")
-        if np.any(snr < 0.0) or np.any(transfer < 0.0):
-            raise ValueError("offers must be non-negative")
+        if not np.all((snr >= 0.0) & (snr < np.inf) & (transfer >= 0.0) & (transfer < np.inf)):
+            raise ValueError("offers must be finite and non-negative")
         if np.any((snr == 0.0) & (transfer > 0.0)):
             raise ValueError("null offers must carry zero transfer")
         snr.setflags(write=False)
@@ -460,11 +460,11 @@ def offers_to_csv(offers: OfferMatrix) -> str:
 
 def offers_from_csv(text: str) -> OfferMatrix:
     """Parse the offers wire format; raises ValueError naming the bad line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "m,n,gamma_linear,transfer":
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != "m,n,gamma_linear,transfer":
         raise ValueError("line 1: expected header 'm,n,gamma_linear,transfer'")
-    entries: list[tuple[int, int, float, float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    entries: dict[tuple[int, int], tuple[int, float, float]] = {}
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 4 comma-separated fields")
@@ -475,14 +475,16 @@ def offers_from_csv(text: str) -> OfferMatrix:
             raise ValueError(f"line {lineno}: {exc}") from None
         if m < 0 or n < 0:
             raise ValueError(f"line {lineno}: negative relay or subcarrier index")
-        entries.append((m, n, g, t))
+        if (m, n) in entries:
+            raise ValueError(f"line {lineno}: offer ({m}, {n}) repeats line {entries[m, n][0]}")
+        entries[m, n] = (lineno, g, t)
     if not entries:
         return OfferMatrix(np.zeros((0, 0)), np.zeros((0, 0)))
-    m_max = max(e[0] for e in entries) + 1
-    n_max = max(e[1] for e in entries) + 1
+    m_max = max(m for m, _ in entries) + 1
+    n_max = max(n for _, n in entries) + 1
     snr = np.zeros((m_max, n_max))
     transfer = np.zeros((m_max, n_max))
-    for m, n, g, t in entries:
+    for (m, n), (_, g, t) in entries.items():
         snr[m, n] = g
         transfer[m, n] = t
     return OfferMatrix(snr, transfer)

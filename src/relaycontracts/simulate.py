@@ -17,6 +17,8 @@ import numpy as np
 
 from .contracts import (
     ContractMenu,
+    _best_response,
+    _snr_from_marginal_cost,
     first_best_contract,
     first_best_menu,
     information_rent,
@@ -39,6 +41,7 @@ __all__ = [
     "RoundResult",
     "MetricsRow",
     "MetricsTable",
+    "broadcast_menu",
     "accepted_offers",
     "efficient_offers",
     "simulate_round",
@@ -47,9 +50,6 @@ __all__ = [
     "reproduce_table3",
     "table3_to_csv",
 ]
-
-_TWO_LN2 = 2.0 * math.log(2.0)
-
 
 class MenuKind(str, Enum):
     FIRST_BEST = "first_best"
@@ -157,28 +157,28 @@ class MetricsTable:
 def accepted_offers(menu: ContractMenu, types: np.ndarray) -> OfferMatrix:
     """Best response of every relay on every subcarrier to a broadcast menu.
 
-    types has shape (M, N) of true channel gains; relays whose best pair
-    would lose money keep the null contract.
+    types has shape (M, N) of true, positive channel gains; relays whose
+    best pair would lose money keep the null contract.
     """
-    types = np.asarray(types, dtype=float)
-    if types.size == 0:
-        return OfferMatrix(np.zeros(types.shape), np.zeros(types.shape))
-    gammas = menu.snrs
-    transfers = menu.transfers
-    utilities = transfers[None, None, :] - menu.cost_coeff * gammas[None, None, :] / types[..., None]
-    best = utilities.argmax(axis=-1)
-    accept = np.take_along_axis(utilities, best[..., None], axis=-1)[..., 0] >= 0.0
-    snr = np.where(accept, gammas[best], 0.0)
-    transfer = np.where(accept, transfers[best], 0.0)
-    return OfferMatrix(snr, transfer)
+    snrs, transfers = menu.snrs, menu.transfers
+    best = _best_response(snrs, transfers, menu.cost_coeff, types)
+    accept = best >= 0
+    return OfferMatrix(np.where(accept, snrs[best], 0.0), np.where(accept, transfers[best], 0.0))
 
 
 def efficient_offers(types: np.ndarray, cost_coeff: float) -> OfferMatrix:
     """Zero-rent first-best pair at every relay's true type (complete information)."""
     types = np.asarray(types, dtype=float)
-    snr = np.maximum(types / (_TWO_LN2 * cost_coeff) - 1.0, 0.0)
-    transfer = cost_coeff * snr / types if types.size else np.zeros(types.shape)
-    return OfferMatrix(snr, transfer)
+    snr = _snr_from_marginal_cost(cost_coeff / types)
+    return OfferMatrix(snr, cost_coeff * snr / types)
+
+
+def broadcast_menu(config: ExperimentConfig) -> ContractMenu:
+    """The menu the source broadcasts for `config`'s grid and menu kind."""
+    grid = TypeGrid.from_distribution(config.dist, config.quant, config.subcarriers)
+    if config.menu_kind is MenuKind.FIRST_BEST:
+        return first_best_menu(grid, config.cost_coeff)
+    return second_best_menu(grid, config.cost_coeff)
 
 
 def _scalar(value, name: str) -> float:
@@ -192,19 +192,12 @@ def simulate_round(config: ExperimentConfig, rng: np.random.Generator) -> RoundR
     m = int(_scalar(config.relays, "relay"))
     budget = float(_scalar(config.budget, "budget"))
 
-    grid = TypeGrid.from_distribution(config.dist, config.quant, config.subcarriers)
-    types = np.array(
-        [sample_type_vector(config.dist, config.subcarriers, rng) for _ in range(m)]
-    ).reshape(m, config.subcarriers)
-
+    types = sample_type_vector(config.dist, m * config.subcarriers, rng)
+    types = types.reshape(m, config.subcarriers)
     if config.information is Information.COMPLETE:
         offers = efficient_offers(types, config.cost_coeff)
     else:
-        if config.menu_kind is MenuKind.FIRST_BEST:
-            menu = first_best_menu(grid, config.cost_coeff)
-        else:
-            menu = second_best_menu(grid, config.cost_coeff)
-        offers = accepted_offers(menu, types)
+        offers = accepted_offers(broadcast_menu(config), types)
 
     problem = SelectionProblem(offers, budget, config.resolution)
     heuristic = overall_heuristic(problem)

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,14 @@ def test_select_negative_budget_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("row", ["0,0,10,inf", "0,0,nan,1", "0,0,inf,1"])
+def test_select_rejects_non_finite_offers(tmp_path, capsys, row):
+    offers = tmp_path / "offers.csv"
+    offers.write_text(f"m,n,gamma_linear,transfer\n{row}\n1,0,6,1\n")
+    assert main(["select", str(offers), "--budget", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: offers must be finite")
+
+
 def test_select_malformed_csv_names_line(tmp_path, capsys):
     offers = tmp_path / "offers.csv"
     offers.write_text("m,n,gamma_linear,transfer\n0,0,1.5\n")
@@ -164,6 +174,45 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     config.write_text(json.dumps({"quant": 4, "bogus": 1}))
     assert main(["simulate", "--config", str(config)]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_readme_distribution_examples_run(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r'`(\{"kind": .*?\})`', readme)
+    assert len(examples) == 3
+    for spec in examples:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dist": json.loads(spec), "quant": 4}))
+        assert main(["contracts", "--config", str(config)]) == 0, spec
+        assert len(parse_csv(capsys.readouterr().out)) == 4
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"quant": "ten"}, "quant"),
+    ({"quant": 4.5}, "quant"),
+    ({"relays": [2, "x"]}, "relays"),
+    ({"menu": "third_best"}, "menu"),
+    ({"dist": {"kind": "uniform", "low": 50}}, "dist"),
+    ({"dist": {"kind": "empirical", "cdf_points": []}}, "dist"),
+    ({"dist": [50, 300]}, "dist"),
+])
+def test_config_bad_values_are_named_errors(tmp_path, capsys, raw, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["contracts", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_config_sweeps_accept_json_lists(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "relays": [2, 3], "budget": 1, "trials": 1, "subcarriers": 2, "quant": 3,
+    }))
+    assert main(["simulate", "--config", str(config)]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert [(r["M"], r["budget"]) for r in rows[::3]] == [("2", "1"), ("3", "1")]
 
 
 def test_missing_subcommand_is_usage_error():

@@ -441,6 +441,10 @@ def test_offers_csv_reports_bad_line():
         offers_from_csv(text)
     with pytest.raises(ValueError, match="line 1"):
         offers_from_csv("nope\n")
+    # a repeated (m, n) names both lines, counting the blank one
+    text = "m,n,gamma_linear,transfer\n0,0,1.5,0.2\n\n1,0,2,0.1\n0,0,3,0.3\n"
+    with pytest.raises(ValueError, match=r"line 5: offer \(0, 0\) repeats line 2"):
+        offers_from_csv(text)
 
 
 def test_selection_csv_layout():
@@ -459,5 +463,10 @@ def test_offer_matrix_validation():
         OfferMatrix(np.array([[0.0]]), np.array([[1.0]]))  # null with payment
     with pytest.raises(ValueError):
         OfferMatrix(np.array([[-1.0]]), np.array([[0.0]]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            OfferMatrix(np.array([[bad]]), np.array([[1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            OfferMatrix(np.array([[10.0]]), np.array([[bad]]))
     with pytest.raises(ValueError):
         SelectionProblem(offers_1d([1.0], [1.0]), -1.0)

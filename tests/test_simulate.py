@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from relaycontracts import (
+    ContractMenu,
+    ContractPair,
     ExperimentConfig,
     Information,
     MenuKind,
     RoundResult,
     SelectionProblem,
     TypeDistribution,
+    TypeGrid,
     accepted_offers,
     efficient_offers,
+    first_best_contract,
+    first_best_menu,
     overall_heuristic,
     reproduce_table3,
     run_experiment,
+    select_best_contract,
     simulate_round,
     table3_to_csv,
 )
@@ -74,6 +80,49 @@ def test_efficient_offers_extract_all_surplus():
     assert np.allclose(offers.transfer, offers.snr / types)
     twoln2 = 2.0 * math.log(2.0)
     assert np.allclose(offers.snr, types / twoln2 - 1.0)
+
+
+def test_accepted_offers_agree_with_select_best_contract(table3_menu):
+    ties = ContractMenu(
+        (ContractPair(0.0, 0.0), ContractPair(2.0, 1.0), ContractPair(2.0, 1.0),
+         ContractPair(6.0, 2.0)),
+        TypeGrid(np.array([1.0, 2.0, 3.0, 4.0]), np.full((4, 1), 0.25)),
+        1.0,
+    )
+    for menu in (table3_menu, first_best_menu(table3_menu.grid, 1.0), ties):
+        deltas = menu.grid.deltas
+        types = np.concatenate([
+            deltas, np.nextafter(deltas, 0.0), np.nextafter(deltas, np.inf),
+            [0.5, 1.0, 2.0, 4.0, 40.0, 1e6],
+            np.random.default_rng(5).uniform(0.5, 350.0, 200),
+        ])[None, :]
+        offers = accepted_offers(menu, types)
+        for j, theta in enumerate(types[0]):
+            best = select_best_contract(menu, float(theta))
+            pair = ContractPair(0.0, 0.0) if best is None else menu.pairs[best]
+            assert (offers.snr[0, j], offers.transfer[0, j]) == (pair.snr, pair.transfer)
+    # exact ties go to the lowest index: pairs 1 and 2 at 3.0, pairs 0-2 at 2.0
+    assert select_best_contract(ties, 3.0) == 1
+    assert select_best_contract(ties, 2.0) == 0
+    assert select_best_contract(table3_menu, 40.0) is None
+
+
+def test_accepted_offers_reject_non_positive_types(table3_menu):
+    for bad in (0.0, -5.0, math.nan):
+        types = np.full((2, 3), 100.0)
+        types[1, 2] = bad
+        with pytest.raises(ValueError, match="positive"):
+            accepted_offers(table3_menu, types)
+
+
+def test_efficient_offers_match_first_best_contract_bitwise():
+    types = np.random.default_rng(11).uniform(0.5, 400.0, (6, 16))
+    types[0, :3] = (1.0, 2.0 * math.log(2.0), 50.0)
+    for cost in (1.0, 2.5):
+        offers = efficient_offers(types, cost)
+        for (m, n), theta in np.ndenumerate(types):
+            pair = first_best_contract(float(theta), cost)
+            assert (offers.snr[m, n], offers.transfer[m, n]) == (pair.snr, pair.transfer)
 
 
 def test_round_result_guards_bound_violation():
