@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,13 +82,21 @@ class ContractMenu:
         if self.cost_coeff <= 0.0:
             raise ValueError("cost coefficient must be positive")
 
-    @property
+    @cached_property
     def snrs(self) -> np.ndarray:
-        return np.array([p.snr for p in self.pairs])
+        """Pair SNRs as a read-only array, built on first access."""
+        return _frozen([p.snr for p in self.pairs])
 
-    @property
+    @cached_property
     def transfers(self) -> np.ndarray:
-        return np.array([p.transfer for p in self.pairs])
+        """Pair transfers as a read-only array, built on first access."""
+        return _frozen([p.transfer for p in self.pairs])
+
+
+def _frozen(values: list[float]) -> np.ndarray:
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)

@@ -234,12 +234,14 @@ class TypeGrid:
             raise ValueError("deltas must be a non-empty 1-D array")
         if probs.ndim != 2 or probs.shape[0] != deltas.size:
             raise ValueError("probs must have shape (K, N)")
+        if not np.all(np.isfinite(deltas)):
+            raise ValueError("type grid values must be finite")
         if deltas[0] <= 0.0:
             raise ValueError("type grid values must be strictly positive")
         if np.any(np.diff(deltas) <= 0.0):
             raise ValueError("type grid must be strictly increasing")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be non-negative")
+        if not np.all((probs >= 0.0) & (probs < np.inf)):
+            raise ValueError("probabilities must be finite and non-negative")
         colsums = probs.sum(axis=0)
         if np.any(np.abs(colsums - 1.0) > _PROB_TOL):
             raise ValueError("each probability column must sum to 1")

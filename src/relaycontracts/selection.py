@@ -90,8 +90,8 @@ class SelectionProblem:
     resolution: int = 1000
 
     def __post_init__(self) -> None:
-        if self.budget < 0.0:
-            raise ValueError("budget must be non-negative")
+        if not 0.0 <= self.budget < math.inf:
+            raise ValueError(f"budget must be finite and non-negative, got {self.budget}")
         if self.resolution < 1:
             raise ValueError("resolution must be a positive unit count")
 
@@ -114,23 +114,40 @@ def _check_subsets(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> Non
             raise ValueError("relay index repeated within a subcarrier")
 
 
+def _sequential_sum(values) -> float:
+    """Left-to-right float sum, as `sum` adds numpy scalars (never compensated)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _capacity(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> float:
+    return float(
+        sum(
+            math.log2(1.0 + _sequential_sum(col[m] for m in sub))
+            for col, sub in zip(offers.snr.T.tolist(), subsets)
+        )
+    )
+
+
+def _spend(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> float:
+    return _sequential_sum(
+        _sequential_sum(col[m] for m in sub)
+        for col, sub in zip(offers.transfer.T.tolist(), subsets)
+    )
+
+
 def capacity(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> float:
     """Total capacity sum_n log2(1 + sum of selected SNRs), bits/symbol."""
     _check_subsets(offers, subsets)
-    return float(
-        sum(
-            math.log2(1.0 + sum(offers.snr[m, n] for m in sub))
-            for n, sub in enumerate(subsets)
-        )
-    )
+    return _capacity(offers, subsets)
 
 
 def total_spend(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> float:
     """Total transfers paid for the selection."""
     _check_subsets(offers, subsets)
-    return float(
-        sum(sum(offers.transfer[m, n] for m in sub) for n, sub in enumerate(subsets))
-    )
+    return _spend(offers, subsets)
 
 
 def _result(
@@ -138,11 +155,12 @@ def _result(
     subsets: Sequence[Sequence[int]],
     method: SelectionMethod,
 ) -> SelectionResult:
+    # The library built these subsets itself, so they skip `_check_subsets`.
     clean = tuple(tuple(sorted(sub)) for sub in subsets)
     return SelectionResult(
         subsets=clean,
-        capacity=capacity(offers, clean),
-        spend=total_spend(offers, clean),
+        capacity=_capacity(offers, clean),
+        spend=_spend(offers, clean),
         method=method,
     )
 
@@ -171,35 +189,39 @@ def knapsack_01(
         raise ValueError("sub-budget must be non-negative")
 
     units = int(math.floor(sub_budget * resolution + _UNIT_SNAP))
-    weights = np.ceil(transfers * resolution - _UNIT_SNAP).astype(np.int64)
-    weights = np.maximum(weights, 0)
+    weights = _price_units(transfers, resolution)
     usable = np.nonzero((gammas > 0.0) & (weights <= units))[0]
     if usable.size == 0:
         return []
 
-    best = np.zeros(units + 1)
-    took = np.zeros((usable.size, units + 1), dtype=bool)
-    for i, item in enumerate(usable):
-        w = int(weights[item])
-        g = gammas[item]
-        if w == 0:
-            cand = best + g
-        else:
-            cand = np.empty(units + 1)
-            cand[:w] = -1.0
-            cand[w:] = best[:-w] + g
-        take = cand > best
-        took[i] = take
-        best = np.where(take, cand, best)
+    # best[c]: top SNR sum within capacity c over the items seen so far;
+    # took[i, c]: item i improved best[c].  Capacities below an item's
+    # weight never take it, so each step touches only best[w:].
+    width = units + 1
+    best = np.zeros(width)
+    scratch = np.empty(width)
+    took = np.zeros((usable.size, width), dtype=bool)
+    items = usable.tolist()
+    item_weights = weights[usable].tolist()
+    for i, (w, g) in enumerate(zip(item_weights, gammas[usable].tolist())):
+        reach = best[w:]
+        cand = np.add(best[: width - w], g, out=scratch[: width - w])
+        np.greater(cand, reach, out=took[i, w:])
+        np.maximum(reach, cand, out=reach)
 
     chosen: list[int] = []
     remaining = units
     for i in range(usable.size - 1, -1, -1):
         if took[i, remaining]:
-            chosen.append(int(usable[i]))
-            remaining -= int(weights[usable[i]])
+            chosen.append(items[i])
+            remaining -= item_weights[i]
     chosen.reverse()
     return chosen
+
+
+def _price_units(transfers: np.ndarray, resolution: int) -> np.ndarray:
+    """Transfers in whole money units, rounded up as `knapsack_01` charges them."""
+    return np.maximum(np.ceil(transfers * resolution - _UNIT_SNAP).astype(np.int64), 0)
 
 
 def _efficiency(offers: OfferMatrix) -> np.ndarray:
@@ -229,19 +251,25 @@ def weighted_split_selection(
 ) -> SelectionResult:
     """Split the budget by a weight profile, then solve one knapsack per subcarrier.
 
-    Unspent per-subcarrier remainders are not redistributed.
+    Unspent per-subcarrier remainders are not redistributed.  Each
+    subcarrier's knapsack gets at most the total price of its offers, in
+    whole money units, plus half a unit: above that price every offer fits,
+    so the selection is the same and the DP stays as wide as the offers.
     """
     offers = problem.offers
     weights = weight_profile(offers, kind)
     total = weights.sum()
     if total <= 0.0:
         return _empty_result(offers, kind)
+    resolution = problem.resolution
+    prices = np.where(offers.snr > 0.0, _price_units(offers.transfer, resolution), 0)
+    widest = (prices.sum(axis=0) + 0.5) / resolution
     subsets = [
         knapsack_01(
             offers.snr[:, n],
             offers.transfer[:, n],
-            weights[n] * problem.budget / total,
-            problem.resolution,
+            min(weights[n] * problem.budget / total, widest[n]),
+            resolution,
         )
         for n in range(offers.n)
     ]
@@ -323,7 +351,8 @@ def best_snr_baseline(problem: SelectionProblem) -> SelectionResult:
 def _waterfill_rows(
     eff: np.ndarray,
     cum_snr: np.ndarray,
-    cum_transfer: np.ndarray,
+    brackets: np.ndarray,
+    row_starts: np.ndarray,
     base_snr: np.ndarray,
     lam: float,
 ):
@@ -331,27 +360,24 @@ def _waterfill_rows(
 
     Offers arrive sorted by efficiency; each is bought in full while the
     marginal value at the accumulated SNR exceeds lam times its price, the
-    marginal offer fractionally.  Returns (snr bought, money spent) per row.
+    marginal offer fractionally.  Row `row_starts[n] + j` of `brackets` holds
+    the cumulative SNR and spend of subcarrier n after and before its offer
+    j.  Returns (snr bought, money spent) per row; the caller suppresses
+    the 0/0 of rows with nothing left to split.
     """
     stop = eff / (lam * math.log(2.0)) - 1.0 - base_snr[:, None]
-    prev_snr = np.concatenate([np.zeros((cum_snr.shape[0], 1)), cum_snr[:, :-1]], axis=1)
-    prev_spend = np.concatenate(
-        [np.zeros((cum_transfer.shape[0], 1)), cum_transfer[:, :-1]], axis=1
-    )
     over = cum_snr > stop
-    first = np.where(over.any(axis=1), over.argmax(axis=1), cum_snr.shape[1] - 1)
-    rows = np.arange(cum_snr.shape[0])
     full_all = ~over.any(axis=1)
+    first = np.where(full_all, cum_snr.shape[1] - 1, over.argmax(axis=1))
 
-    snr_at = np.where(full_all, cum_snr[rows, first], prev_snr[rows, first])
-    spend_at = np.where(full_all, cum_transfer[rows, first], prev_spend[rows, first])
-    gamma_b = cum_snr[rows, first] - prev_snr[rows, first]
-    t_b = cum_transfer[rows, first] - prev_spend[rows, first]
-    room = np.clip(stop[rows, first] - prev_snr[rows, first], 0.0, gamma_b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(gamma_b > 0.0, room / gamma_b, 0.0)
-    frac = np.where(full_all, 0.0, frac)
-    return snr_at + frac * gamma_b * ~full_all, spend_at + frac * t_b * ~full_all
+    at = first + row_starts
+    snr_hi, snr_lo, spend_hi, spend_lo = brackets[at].T
+    gamma_b = snr_hi - snr_lo
+    room = np.minimum(np.maximum(stop.ravel()[at] - snr_lo, 0.0), gamma_b)
+    frac = np.where((gamma_b > 0.0) & ~full_all, room / gamma_b, 0.0)
+    snr_at = np.where(full_all, snr_hi, snr_lo)
+    spend_at = np.where(full_all, spend_hi, spend_lo)
+    return snr_at + frac * gamma_b, spend_at + frac * (spend_hi - spend_lo)
 
 
 def relaxed_upper_bound(problem: SelectionProblem) -> float:
@@ -382,27 +408,36 @@ def relaxed_upper_bound(problem: SelectionProblem) -> float:
     snr = np.where(buyable, offers.snr, 0.0)
     transfer = np.where(buyable, offers.transfer, 0.0)
     order = np.argsort(-eff, axis=0)
-    eff = np.take_along_axis(eff, order, axis=0).T
+    eff = np.ascontiguousarray(np.take_along_axis(eff, order, axis=0).T)
     cum_snr = np.cumsum(np.take_along_axis(snr, order, axis=0).T, axis=1)
     cum_transfer = np.cumsum(np.take_along_axis(transfer, order, axis=0).T, axis=1)
+    rows, width = cum_snr.shape
+    zero_col = np.zeros((rows, 1))
+    prev_snr = np.concatenate([zero_col, cum_snr[:, :-1]], axis=1)
+    prev_spend = np.concatenate([zero_col, cum_transfer[:, :-1]], axis=1)
+    brackets = np.stack([cum_snr, prev_snr, cum_transfer, prev_spend], axis=-1).reshape(-1, 4)
+    row_starts = np.arange(rows) * width
 
     lam_max = float(eff.max()) / math.log(2.0) + 1.0
     lo, hi = 0.0, lam_max
     dual_best = math.inf
     primal_best = base_cap
-    for _ in range(200):
-        lam = 0.5 * (lo + hi)
-        snr_rows, spend_rows = _waterfill_rows(eff, cum_snr, cum_transfer, base_snr, lam)
-        value = float(np.log2(1.0 + base_snr + snr_rows).sum())
-        spent = float(spend_rows.sum())
-        dual_best = min(dual_best, value - lam * spent + lam * budget)
-        if spent <= budget:
-            primal_best = max(primal_best, value)
-            hi = lam
-        else:
-            lo = lam
-        if dual_best - primal_best <= 1e-6:
-            break
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            lam = 0.5 * (lo + hi)
+            snr_rows, spend_rows = _waterfill_rows(
+                eff, cum_snr, brackets, row_starts, base_snr, lam
+            )
+            value = float(np.log2(1.0 + base_snr + snr_rows).sum())
+            spent = float(spend_rows.sum())
+            dual_best = min(dual_best, value - lam * spent + lam * budget)
+            if spent <= budget:
+                primal_best = max(primal_best, value)
+                hi = lam
+            else:
+                lo = lam
+            if dual_best - primal_best <= 1e-6:
+                break
     return dual_best
 
 

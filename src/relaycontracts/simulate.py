@@ -88,14 +88,14 @@ class ExperimentConfig:
             raise ValueError("trial count must be >= 1")
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
-        if self.cost_coeff <= 0.0:
-            raise ValueError("cost coefficient must be positive")
+        if not 0.0 < self.cost_coeff < math.inf:
+            raise ValueError(f"cost coefficient must be finite and positive, got {self.cost_coeff}")
         for m in self.relay_sweep:
             if m < 0:
                 raise ValueError("relay count must be non-negative")
         for b in self.budget_sweep:
-            if b < 0.0:
-                raise ValueError("budget must be non-negative")
+            if not 0.0 <= b < math.inf:
+                raise ValueError(f"budget must be finite and non-negative, got {b}")
 
     @property
     def relay_sweep(self) -> tuple[int, ...]:
@@ -187,8 +187,16 @@ def _scalar(value, name: str) -> float:
     return value
 
 
-def simulate_round(config: ExperimentConfig, rng: np.random.Generator) -> RoundResult:
-    """One broadcast/response/selection round at a single (relays, budget) cell."""
+def simulate_round(
+    config: ExperimentConfig,
+    rng: np.random.Generator,
+    menu: ContractMenu | None = None,
+) -> RoundResult:
+    """One broadcast/response/selection round at a single (relays, budget) cell.
+
+    `menu` is `broadcast_menu(config)` when given, so a sweep cell can build
+    it once for all its rounds; complete-information rounds ignore it.
+    """
     m = int(_scalar(config.relays, "relay"))
     budget = float(_scalar(config.budget, "budget"))
 
@@ -197,7 +205,7 @@ def simulate_round(config: ExperimentConfig, rng: np.random.Generator) -> RoundR
     if config.information is Information.COMPLETE:
         offers = efficient_offers(types, config.cost_coeff)
     else:
-        offers = accepted_offers(broadcast_menu(config), types)
+        offers = accepted_offers(menu if menu is not None else broadcast_menu(config), types)
 
     problem = SelectionProblem(offers, budget, config.resolution)
     heuristic = overall_heuristic(problem)
@@ -222,6 +230,8 @@ def _trial_rng(seed: int, relays: int, budget: float, trial: int) -> np.random.G
 def run_experiment(config: ExperimentConfig) -> MetricsTable:
     """Average `config.trials` rounds for every (relays, budget) sweep cell."""
     rows: list[MetricsRow] = []
+    # The menu depends on neither relay count nor budget: one serves every cell.
+    menu = broadcast_menu(config) if config.information is Information.ASYMMETRIC else None
     for m in config.relay_sweep:
         for budget in config.budget_sweep:
             cell = replace(config, relays=m, budget=budget)
@@ -231,7 +241,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsTable:
             spend = np.empty(config.trials)
             for trial in range(config.trials):
                 rng = _trial_rng(config.seed, m, budget, trial)
-                res = simulate_round(cell, rng)
+                res = simulate_round(cell, rng, menu)
                 heur[trial] = res.capacity_heuristic
                 base[trial] = res.capacity_best_snr
                 relaxed[trial] = res.capacity_relaxed

@@ -118,6 +118,24 @@ def test_select_rejects_non_finite_offers(tmp_path, capsys, row):
     assert capsys.readouterr().err.startswith("error: offers must be finite")
 
 
+@pytest.mark.parametrize("budget", ["inf", "nan"])
+def test_select_non_finite_budget_is_named_error(tmp_path, capsys, budget):
+    offers = tmp_path / "offers.csv"
+    offers.write_text(KNAPSACK_OFFERS)
+    assert main(["select", str(offers), "--budget", budget]) == 1
+    assert capsys.readouterr().err.startswith("error: budget must be finite")
+
+
+@pytest.mark.parametrize("budget", ["2000000", "1e300"])
+def test_select_huge_budget_matches_slack_budget(tmp_path, budget):
+    offers = tmp_path / "offers.csv"
+    offers.write_text("m,n,gamma_linear,transfer\n0,0,10,2\n1,0,6,1\n")
+    slack, huge = tmp_path / "slack.csv", tmp_path / "huge.csv"
+    assert main(["select", str(offers), "--budget", "100", "--out", str(slack)]) == 0
+    assert main(["select", str(offers), "--budget", budget, "--out", str(huge)]) == 0
+    assert huge.read_bytes() == slack.read_bytes()
+
+
 def test_select_malformed_csv_names_line(tmp_path, capsys):
     offers = tmp_path / "offers.csv"
     offers.write_text("m,n,gamma_linear,transfer\n0,0,1.5\n")
@@ -151,6 +169,18 @@ def test_simulate_sweep_flags(capsys):
     assert main(args) == 0
     rows = parse_csv(capsys.readouterr().out)
     assert len(rows) == 4 * 3
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cost", "inf", "cost coefficient must be finite"),
+    ("--cost", "nan", "cost coefficient must be finite"),
+    ("--budget", "inf", "budget must be finite"),
+    ("--budget", "nan", "budget must be finite"),
+    ("--budget", "1,nan", "budget must be finite"),
+])
+def test_simulate_non_finite_values_are_named_errors(capsys, flag, value, message):
+    assert main(["simulate", "--trials", "1", flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

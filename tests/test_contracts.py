@@ -311,3 +311,11 @@ def test_menu_validation():
         ContractMenu((ContractPair(1.0, 1.0), ContractPair(2.0, 2.0)), grid, 0.0)
     with pytest.raises(ValueError):
         ContractPair(-1.0, 0.0)
+
+
+def test_menu_arrays_are_built_once_and_read_only(table3_menu):
+    for name, field in (("snrs", "snr"), ("transfers", "transfer")):
+        values = getattr(table3_menu, name)
+        assert getattr(table3_menu, name) is values
+        assert not values.flags.writeable
+        assert values.tolist() == [getattr(p, field) for p in table3_menu.pairs]

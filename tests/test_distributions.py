@@ -168,3 +168,14 @@ def test_type_grid_validation():
     grid = TypeGrid.from_distribution(TypeDistribution.uniform(50, 300), 10, 16)
     assert grid.k == 10
     assert grid.n == 16
+
+
+@pytest.mark.parametrize("deltas, probs", [
+    ([math.nan, 2.0], [[0.5], [0.5]]),
+    ([1.0, math.inf], [[0.5], [0.5]]),
+    ([1.0, 2.0], [[math.nan], [0.5]]),
+    ([1.0, 2.0], [[math.inf], [0.5]]),
+])
+def test_type_grid_rejects_non_finite_values(deltas, probs):
+    with pytest.raises(ValueError, match="finite"):
+        TypeGrid(np.array(deltas), np.array(probs))

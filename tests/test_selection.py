@@ -470,3 +470,214 @@ def test_offer_matrix_validation():
             OfferMatrix(np.array([[10.0]]), np.array([[bad]]))
     with pytest.raises(ValueError):
         SelectionProblem(offers_1d([1.0], [1.0]), -1.0)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+def test_selection_problem_rejects_non_finite_budget(budget):
+    with pytest.raises(ValueError, match="budget must be finite"):
+        SelectionProblem(offers_1d([1.0], [1.0]), budget)
+
+
+# -- frozen reference implementations ---------------------------------------
+# Verbatim copies of the straightforward knapsack DP, result totals and
+# relaxed-bound bisection that the optimized library code replaced.  The
+# library must reproduce them bit for bit: same subsets, same floats.
+
+_UNIT_SNAP = 1e-9
+
+
+def reference_knapsack(snr_col, transfer_col, sub_budget, resolution):
+    gammas = np.asarray(snr_col, dtype=float)
+    transfers = np.asarray(transfer_col, dtype=float)
+    units = int(math.floor(sub_budget * resolution + _UNIT_SNAP))
+    weights = np.ceil(transfers * resolution - _UNIT_SNAP).astype(np.int64)
+    weights = np.maximum(weights, 0)
+    usable = np.nonzero((gammas > 0.0) & (weights <= units))[0]
+    if usable.size == 0:
+        return []
+
+    best = np.zeros(units + 1)
+    took = np.zeros((usable.size, units + 1), dtype=bool)
+    for i, item in enumerate(usable):
+        w = int(weights[item])
+        g = gammas[item]
+        if w == 0:
+            cand = best + g
+        else:
+            cand = np.empty(units + 1)
+            cand[:w] = -1.0
+            cand[w:] = best[:-w] + g
+        take = cand > best
+        took[i] = take
+        best = np.where(take, cand, best)
+
+    chosen = []
+    remaining = units
+    for i in range(usable.size - 1, -1, -1):
+        if took[i, remaining]:
+            chosen.append(int(usable[i]))
+            remaining -= int(weights[usable[i]])
+    chosen.reverse()
+    return chosen
+
+
+def reference_totals(offers, subsets):
+    cap = float(
+        sum(
+            math.log2(1.0 + sum(offers.snr[m, n] for m in sub))
+            for n, sub in enumerate(subsets)
+        )
+    )
+    spend = float(
+        sum(sum(offers.transfer[m, n] for m in sub) for n, sub in enumerate(subsets))
+    )
+    return cap, spend
+
+
+def reference_split(problem, kind):
+    offers = problem.offers
+    weights = weight_profile(offers, kind)
+    total = weights.sum()
+    if total <= 0.0:
+        return [()] * offers.n
+    return [
+        tuple(
+            reference_knapsack(
+                offers.snr[:, n],
+                offers.transfer[:, n],
+                weights[n] * problem.budget / total,
+                problem.resolution,
+            )
+        )
+        for n in range(offers.n)
+    ]
+
+
+def reference_waterfill_rows(eff, cum_snr, cum_transfer, base_snr, lam):
+    stop = eff / (lam * math.log(2.0)) - 1.0 - base_snr[:, None]
+    prev_snr = np.concatenate([np.zeros((cum_snr.shape[0], 1)), cum_snr[:, :-1]], axis=1)
+    prev_spend = np.concatenate(
+        [np.zeros((cum_transfer.shape[0], 1)), cum_transfer[:, :-1]], axis=1
+    )
+    over = cum_snr > stop
+    first = np.where(over.any(axis=1), over.argmax(axis=1), cum_snr.shape[1] - 1)
+    rows = np.arange(cum_snr.shape[0])
+    full_all = ~over.any(axis=1)
+
+    snr_at = np.where(full_all, cum_snr[rows, first], prev_snr[rows, first])
+    spend_at = np.where(full_all, cum_transfer[rows, first], prev_spend[rows, first])
+    gamma_b = cum_snr[rows, first] - prev_snr[rows, first]
+    t_b = cum_transfer[rows, first] - prev_spend[rows, first]
+    room = np.clip(stop[rows, first] - prev_snr[rows, first], 0.0, gamma_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(gamma_b > 0.0, room / gamma_b, 0.0)
+    frac = np.where(full_all, 0.0, frac)
+    return snr_at + frac * gamma_b * ~full_all, spend_at + frac * t_b * ~full_all
+
+
+def reference_relaxed(problem):
+    offers = problem.offers
+    budget = problem.budget
+    free = (offers.transfer == 0.0) & (offers.snr > 0.0)
+    base_snr = np.where(free, offers.snr, 0.0).sum(axis=0)
+    base_cap = float(np.log2(1.0 + base_snr).sum())
+
+    buyable = (offers.transfer > 0.0) & (offers.snr > 0.0)
+    if not buyable.any():
+        return base_cap
+    if float(offers.transfer.sum()) <= budget:
+        return float(
+            np.log2(1.0 + base_snr + np.where(buyable, offers.snr, 0.0).sum(axis=0)).sum()
+        )
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eff = np.where(buyable, np.where(offers.transfer > 0.0, offers.snr / offers.transfer, 0.0), 0.0)
+    snr = np.where(buyable, offers.snr, 0.0)
+    transfer = np.where(buyable, offers.transfer, 0.0)
+    order = np.argsort(-eff, axis=0)
+    eff = np.take_along_axis(eff, order, axis=0).T
+    cum_snr = np.cumsum(np.take_along_axis(snr, order, axis=0).T, axis=1)
+    cum_transfer = np.cumsum(np.take_along_axis(transfer, order, axis=0).T, axis=1)
+
+    lam_max = float(eff.max()) / math.log(2.0) + 1.0
+    lo, hi = 0.0, lam_max
+    dual_best = math.inf
+    primal_best = base_cap
+    for _ in range(200):
+        lam = 0.5 * (lo + hi)
+        snr_rows, spend_rows = reference_waterfill_rows(eff, cum_snr, cum_transfer, base_snr, lam)
+        value = float(np.log2(1.0 + base_snr + snr_rows).sum())
+        spent = float(spend_rows.sum())
+        dual_best = min(dual_best, value - lam * spent + lam * budget)
+        if spent <= budget:
+            primal_best = max(primal_best, value)
+            hi = lam
+        else:
+            lo = lam
+        if dual_best - primal_best <= 1e-6:
+            break
+    return dual_best
+
+
+def edge_case_column(rng, m):
+    """Offers with declines, free offers and a 1e-17 SNR beside large ones."""
+    gammas = rng.uniform(0.5, 200.0, m) * (rng.random(m) > 0.2)
+    if rng.random() < 0.3:
+        gammas[rng.integers(m)] = 1e-17
+    transfers = rng.uniform(0.01, 1.5, m) * (gammas > 0.0)
+    transfers[rng.random(m) < 0.1] = 0.0
+    return gammas, transfers
+
+
+def assert_same_totals(result, offers, subsets):
+    cap, spend = reference_totals(offers, subsets)
+    assert result.subsets == tuple(subsets)
+    assert result.capacity.hex() == cap.hex()
+    assert float(result.spend).hex() == spend.hex()
+
+
+def test_knapsack_matches_reference_dp():
+    rng = np.random.default_rng(4040)
+    for _ in range(2400):
+        m = int(rng.integers(1, 13))
+        gammas, transfers = edge_case_column(rng, m)
+        resolution = int(rng.choice([1, 10, 1000]))
+        total = float(transfers.sum())
+        budget = [
+            total * rng.uniform(0.0, 1.0),
+            total,
+            total * rng.uniform(1.0, 3.0),
+            rng.uniform(0.0, 4.0),
+        ][int(rng.integers(4))]
+        assert knapsack_01(gammas, transfers, budget, resolution) == reference_knapsack(
+            gammas, transfers, budget, resolution
+        )
+
+
+def test_selection_methods_match_reference_implementations():
+    rng = np.random.default_rng(5050)
+    for _ in range(600):
+        m, n = int(rng.integers(1, 10)), int(rng.integers(1, 7))
+        snr = rng.uniform(0.5, 200.0, (m, n)) * (rng.random((m, n)) > 0.3)
+        if rng.random() < 0.3:
+            snr[rng.integers(m), rng.integers(n)] = 1e-17
+        transfer = rng.uniform(0.05, 1.3, (m, n)) * (snr > 0.0)
+        transfer[rng.random((m, n)) < 0.05] = 0.0
+        offers = OfferMatrix(snr, transfer)
+        share = rng.uniform(0.0, 1.3) if rng.random() < 0.8 else rng.uniform(1.3, 5.0)
+        resolution = int(rng.choice([1, 10, 1000]))
+        problem = SelectionProblem(offers, float(transfer.sum() * share), resolution)
+
+        candidates = []
+        for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+            subsets = reference_split(problem, kind)
+            assert_same_totals(weighted_split_selection(problem, kind), offers, subsets)
+            candidates.append((reference_totals(offers, subsets)[0], subsets))
+        seq = sscpa(problem)
+        assert_same_totals(seq, offers, seq.subsets)
+        candidates.append((reference_totals(offers, seq.subsets)[0], seq.subsets))
+        best = max(candidates, key=lambda c: c[0])[1]
+        assert_same_totals(overall_heuristic(problem), offers, best)
+        greedy = best_snr_baseline(problem)
+        assert_same_totals(greedy, offers, greedy.subsets)
+        assert relaxed_upper_bound(problem).hex() == reference_relaxed(problem).hex()

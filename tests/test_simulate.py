@@ -14,6 +14,7 @@ from relaycontracts import (
     TypeDistribution,
     TypeGrid,
     accepted_offers,
+    broadcast_menu,
     efficient_offers,
     first_best_contract,
     first_best_menu,
@@ -217,6 +218,27 @@ def test_config_validation():
     list_config = ExperimentConfig(relays=[2, 4], budget=[1.0])
     assert list_config.relay_sweep == (2, 4)
     assert list_config.budget_sweep == (1.0,)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("budget", math.nan),
+    ("budget", math.inf),
+    ("budget", (1.0, math.inf)),
+    ("cost_coeff", math.inf),
+    ("cost_coeff", math.nan),
+])
+def test_config_rejects_non_finite_budget_and_cost(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("kind", list(MenuKind))
+def test_round_with_given_menu_matches_round_without(kind):
+    config = small_config(relays=5, budget=3.0, menu_kind=kind)
+    menu = broadcast_menu(config)
+    for seed in range(5):
+        with_menu = simulate_round(config, np.random.default_rng(seed), menu=menu)
+        assert with_menu == simulate_round(config, np.random.default_rng(seed))
 
 
 def test_round_uses_distribution_from_config():
