@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relaycontracts import TypeGrid, second_best_menu
 from relaycontracts.cli import main
@@ -135,6 +139,80 @@ def test_select_huge_budget_matches_slack_budget(tmp_path, budget):
     assert main(["select", str(offers), "--budget", budget, "--out", str(huge)]) == 0
     assert huge.read_bytes() == slack.read_bytes()
 
+
+
+@pytest.mark.parametrize("rows, flags, message", [
+    (["0,0,10,1e17", "1,0,6,1"], ["--budget", "2"],
+     "offer (0, 0) transfer 1e+17 at resolution 1000 is 2**53 money units or more"),
+    (["0,0,10,2", "1,0,6,1"], ["--budget", "2", "--resolution", "1000000000"],
+     "knapsack table of 2 usable offers x 2000000001 money units"),
+    (["0,99999999,10,2"], [], "offers span 1 relays x 100000000 subcarriers"),
+    (["0,0,1.0,2.2e-311"], [], "offer (0, 0) SNR per unit transfer overflows"),
+])
+def test_select_out_of_range_inputs_are_named_errors(tmp_path, capsys, rows, flags, message):
+    offers = tmp_path / "offers.csv"
+    offers.write_text("\n".join(["m,n,gamma_linear,transfer", *rows]) + "\n")
+    assert main(["select", str(offers), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+_HEADER = "m,n,gamma_linear,transfer"
+_ODD_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "1e17", "1e400", "-0.0", "", "x", " 1", "1_0"]),
+)
+_GOOD_ROW = st.tuples(
+    st.integers(0, 4), st.integers(0, 4), st.floats(0.0, 200.0), st.floats(0.0, 3.0)
+).map(lambda r: f"{r[0]},{r[1]},{r[2]!r},{r[3] if r[2] > 0.0 else 0.0!r}")
+_ODD_ROW = st.one_of(
+    st.tuples(
+        st.sampled_from(["-1", "1.5", "", "a", "99999999", "4096", "0"]),
+        st.integers(0, 4).map(str),
+        _ODD_NUMBER_TEXT,
+        _ODD_NUMBER_TEXT,
+    ).map(",".join),
+    st.text(alphabet="0123456789,.-eE \t", max_size=12),
+)
+_ODD_RESOLUTION_TEXT = st.sampled_from(
+    ["0", "-3", "1.5", "abc", "1000000000", str(2**53), "9" * 40]
+)
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    header=st.integers(0, 9).map(lambda i: ["", "m,n,gamma,transfer"][i] if i < 2 else _HEADER),
+    rows=st.lists(_GOOD_ROW, max_size=10, unique_by=lambda row: tuple(row.split(",")[:2])),
+    odd_row=st.one_of(st.none(), st.none(), st.tuples(st.integers(0, 10), _ODD_ROW)),
+    budget=st.one_of(st.none(), *[st.floats(0.0, 50.0).map(repr)] * 2, _ODD_NUMBER_TEXT),
+    resolution=st.one_of(st.none(), *[st.integers(1, 5000).map(str)] * 2, _ODD_RESOLUTION_TEXT),
+)
+def test_property_select_exits_cleanly_on_any_input(
+    tmp_path, header, rows, odd_row, budget, resolution
+):
+    if odd_row is not None:
+        rows.insert(odd_row[0], odd_row[1])
+    offers = tmp_path / "offers.csv"
+    offers.write_text("\n".join([header, *rows]) + "\n")
+    argv = ["select", str(offers)]
+    if budget is not None:
+        argv += [f"--budget={budget}"]
+    if resolution is not None:
+        argv += [f"--resolution={resolution}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:  # numpy may warn about overflow before the error line
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
 
 def test_select_malformed_csv_names_line(tmp_path, capsys):
     offers = tmp_path / "offers.csv"

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import relaycontracts.selection as selection_module
 from relaycontracts import (
     OfferMatrix,
     SelectionMethod,
@@ -479,9 +482,10 @@ def test_selection_problem_rejects_non_finite_budget(budget):
 
 
 # -- frozen reference implementations ---------------------------------------
-# Verbatim copies of the straightforward knapsack DP, result totals and
-# relaxed-bound bisection that the optimized library code replaced.  The
-# library must reproduce them bit for bit: same subsets, same floats.
+# Verbatim copies of the straightforward knapsack DP, result totals,
+# relaxed-bound bisection, per-visit SSCPA and indexed best-SNR greedy that
+# the optimized library code replaced.  The library must reproduce them bit
+# for bit: same subsets, same floats.
 
 _UNIT_SNAP = 1e-9
 
@@ -619,6 +623,51 @@ def reference_relaxed(problem):
     return dual_best
 
 
+
+def reference_sscpa(problem):
+    offers = problem.offers
+    if offers.m == 0:
+        return [()] * offers.n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eff = np.where(offers.transfer > 0.0, offers.snr / offers.transfer, 0.0)
+    remaining = problem.budget
+    allocated = np.zeros(offers.snr.shape, dtype=bool)
+    subsets = [[] for _ in range(offers.n)]
+    while True:
+        progress = False
+        for n in range(offers.n):
+            pickable = (
+                ~allocated[:, n]
+                & (offers.snr[:, n] > 0.0)
+                & (offers.transfer[:, n] <= remaining)
+            )
+            if not pickable.any():
+                continue
+            column = np.where(pickable, eff[:, n], -1.0)
+            m = int(np.argmax(column))
+            allocated[m, n] = True
+            subsets[n].append(m)
+            remaining -= offers.transfer[m, n]
+            progress = True
+        if not progress:
+            break
+    return [tuple(sorted(sub)) for sub in subsets]
+
+
+def reference_best_snr(problem):
+    offers = problem.offers
+    ms, ns = np.nonzero(offers.snr > 0.0)
+    order = np.lexsort((ms, ns, -offers.snr[ms, ns]))
+    remaining = problem.budget
+    subsets = [[] for _ in range(offers.n)]
+    for idx in order:
+        m, n = int(ms[idx]), int(ns[idx])
+        t = offers.transfer[m, n]
+        if t <= remaining:
+            subsets[n].append(m)
+            remaining -= t
+    return [tuple(sorted(sub)) for sub in subsets]
+
 def edge_case_column(rng, m):
     """Offers with declines, free offers and a 1e-17 SNR beside large ones."""
     gammas = rng.uniform(0.5, 200.0, m) * (rng.random(m) > 0.2)
@@ -673,11 +722,168 @@ def test_selection_methods_match_reference_implementations():
             subsets = reference_split(problem, kind)
             assert_same_totals(weighted_split_selection(problem, kind), offers, subsets)
             candidates.append((reference_totals(offers, subsets)[0], subsets))
-        seq = sscpa(problem)
-        assert_same_totals(seq, offers, seq.subsets)
-        candidates.append((reference_totals(offers, seq.subsets)[0], seq.subsets))
+        subsets = reference_sscpa(problem)
+        assert_same_totals(sscpa(problem), offers, subsets)
+        candidates.append((reference_totals(offers, subsets)[0], subsets))
         best = max(candidates, key=lambda c: c[0])[1]
         assert_same_totals(overall_heuristic(problem), offers, best)
-        greedy = best_snr_baseline(problem)
-        assert_same_totals(greedy, offers, greedy.subsets)
+        assert_same_totals(best_snr_baseline(problem), offers, reference_best_snr(problem))
         assert relaxed_upper_bound(problem).hex() == reference_relaxed(problem).hex()
+
+
+def tie_and_pass_problem(rng):
+    """Small integer prices and SNRs: exact efficiency and SNR ties, free
+    offers, and budgets that run out after the first pass or two."""
+    m, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    snr = rng.integers(0, 5, (m, n)).astype(float)
+    transfer = rng.integers(1, 4, (m, n)) * (snr > 0.0)
+    transfer = np.where(rng.random((m, n)) < 0.15, 0.0, transfer)
+    budget = float(rng.integers(0, 2 * n + 3)) + float(rng.choice([0.0, 0.5]))
+    return SelectionProblem(OfferMatrix(snr, transfer), budget, int(rng.choice([1, 10])))
+
+
+def test_sscpa_and_greedy_match_reference_on_ties_and_free_offers():
+    rng = np.random.default_rng(6060)
+    first_pass_only = 0
+    for _ in range(800):
+        problem = tie_and_pass_problem(rng)
+        offers = problem.offers
+        assert_same_totals(sscpa(problem), offers, reference_sscpa(problem))
+        assert_same_totals(best_snr_baseline(problem), offers, reference_best_snr(problem))
+        # An offer that fits the whole budget but is never taken: it fit on
+        # the first pass only, so the cursor must pass it for good.
+        taken = sscpa(problem).subsets
+        first_pass_only += any(
+            0.0 < offers.transfer[m, n] <= problem.budget and m not in taken[n]
+            for m in range(offers.m)
+            for n in range(offers.n)
+        )
+    assert first_pass_only > 100
+
+
+def test_sscpa_hand_trace_of_an_offer_that_fits_only_on_the_first_pass():
+    # Pass 1 takes relay 0 on both subcarriers (budget 5 -> 1); relay 1 on
+    # subcarrier 0 (price 2) fit at the start but no longer does.
+    snr = np.array([[6.0, 6.0], [3.0, 0.0], [1.0, 0.0]])
+    transfer = np.array([[2.0, 2.0], [2.0, 0.0], [1.0, 0.0]])
+    problem = SelectionProblem(OfferMatrix(snr, transfer), 5.0)
+    assert sscpa(problem).subsets == ((0, 2), (0,))
+    assert sscpa(problem).subsets == tuple(reference_sscpa(problem))
+
+
+def counting_knapsack(monkeypatch):
+    """Record each knapsack_01 call the splits make, with its usable count."""
+    calls = []
+    original = selection_module.knapsack_01
+
+    def wrapper(snr_col, transfer_col, sub_budget, resolution):
+        units = math.floor(sub_budget * resolution + _UNIT_SNAP)
+        prices = np.maximum(np.ceil(np.asarray(transfer_col) * resolution - _UNIT_SNAP), 0)
+        calls.append(int(np.count_nonzero((np.asarray(snr_col) > 0.0) & (prices <= units))))
+        return original(snr_col, transfer_col, sub_budget, resolution)
+
+    monkeypatch.setattr(selection_module, "knapsack_01", wrapper)
+    return calls
+
+
+def test_splits_skip_subcarriers_where_nothing_is_affordable(monkeypatch):
+    # fine_quant's shape: 3 relays, 32 subcarriers, budget 1, menu prices
+    # from 0.16 up, so no subcarrier's sub-budget buys any offer.
+    calls = counting_knapsack(monkeypatch)
+    rng = np.random.default_rng(7070)
+    for _ in range(20):
+        snr = rng.uniform(8.0, 200.0, (3, 32)) * (rng.random((3, 32)) > 0.2)
+        transfer = rng.uniform(0.16, 1.3, (3, 32)) * (snr > 0.0)
+        problem = SelectionProblem(OfferMatrix(snr, transfer), 1.0, 1000)
+        for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+            result = weighted_split_selection(problem, kind)
+            assert result.subsets == tuple(reference_split(problem, kind))
+    assert calls == []
+
+
+def test_splits_call_the_knapsack_only_where_an_offer_is_affordable(monkeypatch):
+    calls = counting_knapsack(monkeypatch)
+    rng = np.random.default_rng(8080)
+    skipped = 0
+    for _ in range(60):
+        m, n = int(rng.integers(1, 12)), 16
+        snr = rng.uniform(0.5, 200.0, (m, n)) * (rng.random((m, n)) > 0.3)
+        transfer = rng.uniform(0.05, 1.3, (m, n)) * (snr > 0.0)
+        problem = SelectionProblem(OfferMatrix(snr, transfer), float(rng.uniform(0.5, 16.0)), 1000)
+        for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+            before = len(calls)
+            result = weighted_split_selection(problem, kind)
+            assert result.subsets == tuple(reference_split(problem, kind))
+            skipped += n - (len(calls) - before)
+    assert calls and min(calls) >= 1
+    assert skipped > 0
+
+
+def test_knapsack_refuses_a_table_above_the_memory_cap():
+    with pytest.raises(ValueError, match="1 usable offers x 20000001 money units"):
+        knapsack_01(np.array([5.0, 1.0]), np.array([1.0, 3e7]), 2.0, 10**7)
+
+
+def test_selection_problem_rejects_prices_of_2_to_the_53_units():
+    offers = OfferMatrix(np.array([[10.0], [6.0]]), np.array([[1e17], [1.0]]))
+    with pytest.raises(ValueError, match=r"offer \(0, 0\) transfer 1e\+17 at resolution 1000"):
+        SelectionProblem(offers, 2.0)
+    limit = OfferMatrix(np.array([[1.0]]), np.array([[float(2**53 - 1)]]))
+    SelectionProblem(limit, 2.0, 1)
+    with pytest.raises(ValueError, match="transfer 9.0072e\\+15 at resolution 2"):
+        SelectionProblem(limit, 2.0, 2)
+    with pytest.raises(ValueError, match="resolution must be"):
+        SelectionProblem(offers_1d([1.0], [0.5]), 2.0, 2**53)
+
+
+
+def test_overflowing_efficiency_and_weights_are_named_errors():
+    with pytest.raises(ValueError, match=r"offer \(0, 0\) SNR per unit transfer overflows"):
+        offers_1d([1.0], [2.2e-311])
+    huge = SelectionProblem(offers_1d([1e308, 1e308], [1.0, 1.0]), 1.0)
+    with pytest.raises(ValueError, match="NSW budget weights overflow"):
+        weighted_split_selection(huge, SelectionMethod.NSW)
+
+# -- property tests against the reference copies ------------------------------
+
+_finite_snr = st.one_of(
+    st.integers(0, 4).map(float),
+    st.floats(0.5, 200.0),
+    st.sampled_from([0.0, 1e-17]),
+)
+_finite_transfer = st.one_of(
+    st.integers(0, 3).map(float),
+    st.floats(1e-3, 3.0),
+    st.just(0.0),
+)
+
+
+@st.composite
+def selection_problems(draw):
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    snr = np.array(draw(st.lists(_finite_snr, min_size=m * n, max_size=m * n)), dtype=float)
+    transfer = np.array(
+        draw(st.lists(_finite_transfer, min_size=m * n, max_size=m * n)), dtype=float
+    )
+    snr, transfer = snr.reshape(m, n), transfer.reshape(m, n)
+    transfer[snr == 0.0] = 0.0
+    budget = draw(
+        st.one_of(
+            st.floats(0.0, 20.0),
+            st.integers(0, 8).map(float),
+            st.floats(0.0, 1.5).map(lambda share: share * float(transfer.sum())),
+        )
+    )
+    resolution = draw(st.one_of(st.sampled_from([1, 10, 1000]), st.integers(1, 5000)))
+    return SelectionProblem(OfferMatrix(snr, transfer), budget, resolution)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(selection_problems())
+def test_property_selection_matches_reference_copies(problem):
+    offers = problem.offers
+    for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+        assert_same_totals(weighted_split_selection(problem, kind), offers, reference_split(problem, kind))
+    assert_same_totals(sscpa(problem), offers, reference_sscpa(problem))
+    assert_same_totals(best_snr_baseline(problem), offers, reference_best_snr(problem))
+    assert relaxed_upper_bound(problem).hex() == reference_relaxed(problem).hex()
