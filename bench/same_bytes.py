@@ -34,7 +34,7 @@ import numpy as np
 from compare import ROOT, extract
 
 # Runs every command in-process under one interpreter per side.
-DRIVER = """
+RUNNER = """
 import json, sys
 from relaycontracts.cli import main
 codes = []
@@ -101,11 +101,11 @@ def run_side(tree: Path, runs: dict[str, list[str]], out: Path) -> list[int]:
     argvs = [[*argv, "--out", str(out / f"{name}.csv")] for name, argv in runs.items()]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", DRIVER, json.dumps(argvs)],
+        [sys.executable, "-c", RUNNER, json.dumps(argvs)],
         cwd=out, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"driver in {tree} exited {proc.returncode}:\n{proc.stderr}")
+        raise RuntimeError(f"command runner in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 

@@ -298,8 +298,7 @@ def weighted_split_selection(
     sub_budgets = np.minimum(weights * problem.budget / total, widest)
     never = np.iinfo(np.int64).max
     cheapest = np.where(offered, units, never).min(axis=0, initial=never)
-    # knapsack_01's own `usable` test; a NaN sub-budget still reaches it and raises.
-    affordable = ~(cheapest > np.floor(sub_budgets * resolution + _UNIT_SNAP))
+    affordable = cheapest <= np.floor(sub_budgets * resolution + _UNIT_SNAP)  # knapsack_01's test
     subsets = [
         knapsack_01(offers.snr[:, n], offers.transfer[:, n], sub_budgets[n], resolution)
         if affordable[n]

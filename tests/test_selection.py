@@ -841,7 +841,7 @@ def test_overflowing_efficiency_and_weights_are_named_errors():
     with pytest.raises(ValueError, match=r"offer \(0, 0\) SNR per unit transfer overflows"):
         offers_1d([1.0], [2.2e-311])
     huge = SelectionProblem(offers_1d([1e308, 1e308], [1.0, 1.0]), 1.0)
-    with pytest.raises(ValueError, match="NSW budget weights overflow"):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="NSW budget weights overflow"):
         weighted_split_selection(huge, SelectionMethod.NSW)
 
 # -- property tests against the reference copies ------------------------------
