@@ -1,6 +1,6 @@
 """Byte-for-byte comparison of CLI outputs between a parent git ref and the working tree.
 
-    python3 bench/same_bytes.py --parent REF [--trials 40] [--csvs 24] [--seed 2024]
+    python3 bench/same_bytes.py --parent REF
 
 Extracts REF's committed files the way bench/compare.py does, runs one list
 of `relaycontracts` commands on the parent and on the working tree, and
@@ -8,8 +8,8 @@ compares every output file byte for byte:
 
 - `simulate` on the configurations of acceptance criterion 7 (the relay x
   budget sweep; quant 3, 5 and 20; complete information; first-best menus),
-  seed 12345, at `--trials` trials per cell instead of 1000;
-- `select` on `--csvs` generated offers files (relays 1-32, subcarriers
+  seed 12345, at TRIALS trials per cell instead of 1000;
+- `select` on CSVS generated offers files (relays 1-32, subcarriers
   1-64, declined and free offers, integer prices with exact ties), each at
   several budgets and two resolutions;
 - `contracts` and `table3` at their defaults.
@@ -46,6 +46,10 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(codes))
 """
 
+TRIALS = 40  # simulate trials per cell
+CSVS = 24  # generated offers files
+SEED = 2024  # seed of the offers files
+
 SIMULATE = {
     "sweep": ["--relays", "2,6,10,14,18", "--budget", "8,16,24"],
     "quant3": ["--relays", "10", "--budget", "16", "--quant", "3"],
@@ -73,16 +77,16 @@ def offers_csv(rng: np.random.Generator, index: int) -> tuple[str, float]:
     return "\n".join(lines) + "\n", float(transfer.sum())
 
 
-def commands(work: Path, trials: int, csvs: int, seed: int) -> dict[str, list[str]]:
+def commands(work: Path) -> dict[str, list[str]]:
     """Output name -> argv; every argv writes its output to `OUT/<name>.csv`."""
     runs = {
-        f"simulate_{name}": ["simulate", *flags, "--trials", str(trials), "--seed", "12345"]
+        f"simulate_{name}": ["simulate", *flags, "--trials", str(TRIALS), "--seed", "12345"]
         for name, flags in SIMULATE.items()
     }
     runs["contracts"] = ["contracts"]
     runs["table3"] = ["table3"]
-    rng = np.random.default_rng(seed)
-    for i in range(csvs):
+    rng = np.random.default_rng(SEED)
+    for i in range(CSVS):
         text, total = offers_csv(rng, i)
         path = work / f"offers_{i:02d}.csv"
         path.write_text(text)
@@ -116,9 +120,6 @@ def sha256(path: Path) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref to compare against")
-    parser.add_argument("--trials", type=int, default=40, help="simulate trials per cell")
-    parser.add_argument("--csvs", type=int, default=24, help="generated offers files")
-    parser.add_argument("--seed", type=int, default=2024, help="seed of the offers files")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
@@ -127,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         commit = extract(args.parent, parent_tree)
         work = tmp_path / "inputs"
         work.mkdir()
-        runs = commands(work, args.trials, args.csvs, args.seed)
+        runs = commands(work)
         codes = {
             side: run_side(tree, runs, tmp_path / side)
             for side, tree in (("parent", parent_tree), ("change", ROOT))

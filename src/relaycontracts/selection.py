@@ -40,7 +40,9 @@ __all__ = [
 _UNIT_SNAP = 1e-9  # guards ceil/floor against float noise in t * resolution
 _EXACT_UNITS = 2**53  # money-unit counts from here on are no longer exact floats
 _MAX_DP_BYTES = 2**28  # knapsack memory cap: bool table plus two float rows
-_MAX_OFFER_CELLS = 2**22  # offers CSV cap on relays x subcarriers
+_MAX_OFFER_BYTES = 2**28  # offers CSV cap: the SNR and transfer arrays together
+_BISECT_LEVELS = 4  # most bisection levels one water-fill call evaluates
+_BISECT_SCRATCH_CELLS = 3 * 2**13  # speculative multipliers x rows x width, at most
 
 
 class SelectionMethod(str, Enum):
@@ -435,11 +437,13 @@ def relaxed_upper_bound(problem: SelectionProblem) -> float:
     subcarrier in efficiency order.  The returned dual value is always a
     valid bound; bisection stops at duality gap 1e-6 or 200 iterations.
 
-    Each water-fill call evaluates 15 multipliers: the midpoints of the
-    next four bisection levels, both branches of each.  The walk down the
+    Each water-fill call evaluates 2**L - 1 multipliers: the midpoints of
+    the next L bisection levels, both branches of each.  The walk down the
     branches the signs select visits the same multipliers, in the same
     order, as plain bisection one step at a time, so the bound is the same
-    float; the water-fill calls drop from about 31 to about 8.
+    float.  L is 4 on small instances (15 multipliers; the water-fill calls
+    drop from about 31 to about 8) and falls with rows x width to plain
+    bisection, so speculation never takes more than 192 KiB of scratch.
     """
     offers = problem.offers
     budget = problem.budget
@@ -478,17 +482,18 @@ def relaxed_upper_bound(problem: SelectionProblem) -> float:
     dual_best = math.inf
     primal_best = base_cap
     steps = 0
-    scratch = np.empty((15, rows, width))
+    levels = _bisect_levels(rows * width)
+    scratch = np.empty((2**levels - 1, rows, width))
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            # The midpoints of the next four bisection levels in heap order:
+            # The midpoints of the next `levels` bisection levels in heap order:
             # node k's children are 2k+1 (lo moved up) and 2k+2 (hi moved down).
             lams: list[float] = []
             nodes = [(lo, hi)]
-            for k in range(15):
+            for k in range(2**levels - 1):
                 node_lo, node_hi = nodes[k]
                 lams.append(0.5 * (node_lo + node_hi))
-                if k < 7:
+                if k < 2 ** (levels - 1) - 1:
                     nodes += [(lams[k], node_hi), (node_lo, lams[k])]
             snr_rows, spend_rows = _waterfill_rows(
                 eff, cum_snr, brackets, row_starts, base_snr, np.array(lams), scratch
@@ -496,7 +501,7 @@ def relaxed_upper_bound(problem: SelectionProblem) -> float:
             values = np.log2(1.0 + base_snr + snr_rows).sum(axis=1).tolist()
             spents = spend_rows.sum(axis=1).tolist()
             k = 0
-            for _ in range(4):
+            for _ in range(levels):
                 lam, value, spent = lams[k], values[k], spents[k]
                 dual_best = min(dual_best, value - lam * spent + lam * budget)
                 if spent <= budget:
@@ -506,9 +511,23 @@ def relaxed_upper_bound(problem: SelectionProblem) -> float:
                 else:
                     lo = lam
                     k = 2 * k + 1
-                steps += 1
+                steps += 1  # counted per level, so the cap holds at any depth
                 if dual_best - primal_best <= 1e-6 or steps == 200:
                     return dual_best
+
+
+def _bisect_levels(cells: int) -> int:
+    """Bisection levels per water-fill call for a rows x width threshold array.
+
+    Speculating L levels evaluates 2**L - 1 multipliers to walk L of them, so
+    it pays only while per-call overhead outweighs the extra arithmetic; the
+    deepest L whose scratch stays within _BISECT_SCRATCH_CELLS is taken,
+    down to plain one-step bisection on large instances.
+    """
+    levels = _BISECT_LEVELS
+    while levels > 1 and (2**levels - 1) * cells > _BISECT_SCRATCH_CELLS:
+        levels -= 1
+    return levels
 
 
 def exhaustive_optimum(problem: SelectionProblem) -> SelectionResult:
@@ -587,8 +606,11 @@ def offers_from_csv(text: str) -> OfferMatrix:
         return OfferMatrix(np.zeros((0, 0)), np.zeros((0, 0)))
     m_max = max(m for m, _ in entries) + 1
     n_max = max(n for _, n in entries) + 1
-    if m_max * n_max > _MAX_OFFER_CELLS:
-        raise ValueError(f"offers span {m_max} relays x {n_max} subcarriers, more than 2**22 cells")
+    if 2 * 8 * m_max * n_max > _MAX_OFFER_BYTES:
+        raise ValueError(
+            f"offers span {m_max} relays x {n_max} subcarriers: "
+            "their SNR and transfer arrays would exceed 2**28 bytes"
+        )
     snr = np.zeros((m_max, n_max))
     transfer = np.zeros((m_max, n_max))
     for (m, n), (_, g, t) in entries.items():

@@ -450,6 +450,19 @@ def test_offers_csv_reports_bad_line():
         offers_from_csv(text)
 
 
+def test_offers_csv_size_cap_is_in_bytes():
+    # 2100 x 2100 cells take 2 x 35 MB: accepted, as dense files that size
+    # always were; 4097 x 4096 would pass the 2**28-byte cap and is refused
+    # before anything is allocated.
+    offers = offers_from_csv("m,n,gamma_linear,transfer\n0,0,10,1\n2099,2099,5,1\n")
+    assert offers.snr.shape == (2100, 2100)
+    assert offers.transfer[2099, 2099] == 1.0
+    with pytest.raises(ValueError, match="4097 relays x 4096 subcarriers"):
+        offers_from_csv("m,n,gamma_linear,transfer\n4096,4095,10,1\n")
+    with pytest.raises(ValueError, match="2\\*\\*28 bytes"):
+        offers_from_csv("m,n,gamma_linear,transfer\n0,99999999,10,2\n")
+
+
 def test_selection_csv_layout():
     offers = offers_1d([10.0, 6.0, 5.0], [2.0, 1.0, 1.0])
     problem = SelectionProblem(offers, 2.0, 10)
@@ -729,6 +742,29 @@ def test_selection_methods_match_reference_implementations():
         assert_same_totals(overall_heuristic(problem), offers, best)
         assert_same_totals(best_snr_baseline(problem), offers, reference_best_snr(problem))
         assert relaxed_upper_bound(problem).hex() == reference_relaxed(problem).hex()
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_relaxed_bound_is_the_same_float_at_every_speculation_depth(monkeypatch, levels):
+    monkeypatch.setattr(selection_module, "_bisect_levels", lambda cells: levels)
+    rng = np.random.default_rng(5151)
+    for _ in range(60):
+        m, n = int(rng.integers(1, 40)), int(rng.choice([1, 5, 16, 64]))
+        snr = rng.uniform(0.5, 200.0, (m, n)) * (rng.random((m, n)) > 0.3)
+        transfer = rng.uniform(0.05, 1.3, (m, n)) * (snr > 0.0)
+        problem = SelectionProblem(OfferMatrix(snr, transfer), float(transfer.sum() * rng.uniform(0.0, 1.1)))
+        assert relaxed_upper_bound(problem).hex() == reference_relaxed(problem).hex()
+
+
+def test_speculation_depth_falls_with_instance_size():
+    levels = selection_module._bisect_levels
+    cap = selection_module._BISECT_SCRATCH_CELLS
+    # fine_quant, paper_sweep and small select_stream shapes keep four levels
+    assert [levels(cells) for cells in (96, 160, 288, 1024)] == [4, 4, 4, 4]
+    assert [levels(cells) for cells in (2048, 4096, 8192, 16384, 2**22)] == [3, 2, 2, 1, 1]
+    for cells in (1, 96, 1024, 1025, 3511, 8192, 8193, 2**22):
+        depth = levels(cells)
+        assert depth == 1 or (2**depth - 1) * cells <= cap
 
 
 def tie_and_pass_problem(rng):
