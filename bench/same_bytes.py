@@ -1,6 +1,6 @@
 """Byte-for-byte comparison of CLI outputs between a parent git ref and the working tree.
 
-    python3 bench/same_bytes.py --parent REF
+    python3 bench/same_bytes.py --parent REF [--trials N]
 
 Extracts REF's committed files the way bench/compare.py does, runs one list
 of `relaycontracts` commands on the parent and on the working tree, and
@@ -8,7 +8,7 @@ compares every output file byte for byte:
 
 - `simulate` on the configurations of acceptance criterion 7 (the relay x
   budget sweep; quant 3, 5 and 20; complete information; first-best menus),
-  seed 12345, at TRIALS trials per cell instead of 1000;
+  seed 12345, at `--trials` per cell (default TRIALS; criterion 7 runs 1000);
 - `select` on CSVS generated offers files (relays 1-32, subcarriers
   1-64, declined and free offers, integer prices with exact ties), each at
   several budgets and two resolutions;
@@ -46,7 +46,7 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(codes))
 """
 
-TRIALS = 40  # simulate trials per cell
+TRIALS = 40  # default simulate trials per cell
 CSVS = 24  # generated offers files
 SEED = 2024  # seed of the offers files
 
@@ -77,10 +77,10 @@ def offers_csv(rng: np.random.Generator, index: int) -> tuple[str, float]:
     return "\n".join(lines) + "\n", float(transfer.sum())
 
 
-def commands(work: Path) -> dict[str, list[str]]:
+def commands(work: Path, trials: int) -> dict[str, list[str]]:
     """Output name -> argv; every argv writes its output to `OUT/<name>.csv`."""
     runs = {
-        f"simulate_{name}": ["simulate", *flags, "--trials", str(TRIALS), "--seed", "12345"]
+        f"simulate_{name}": ["simulate", *flags, "--trials", str(trials), "--seed", "12345"]
         for name, flags in SIMULATE.items()
     }
     runs["contracts"] = ["contracts"]
@@ -120,6 +120,7 @@ def sha256(path: Path) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref to compare against")
+    parser.add_argument("--trials", type=int, default=TRIALS, help="simulate trials per cell")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
@@ -128,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         commit = extract(args.parent, parent_tree)
         work = tmp_path / "inputs"
         work.mkdir()
-        runs = commands(work)
+        runs = commands(work, args.trials)
         codes = {
             side: run_side(tree, runs, tmp_path / side)
             for side, tree in (("parent", parent_tree), ("change", ROOT))

@@ -38,7 +38,7 @@ print("each type mass (per subcarrier):", grid.probs[:, 0])
 #    the bottom earns an information rent.
 # ----------------------------------------------------------------------
 menu = second_best_menu(grid, cost_coeff=1.0)
-rents = information_rent(menu).rents
+rents = information_rent(menu)
 print("\n k  type   snr(dB)  transfer   rent")
 for i, pair in enumerate(menu.pairs):
     print(

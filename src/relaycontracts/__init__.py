@@ -4,7 +4,6 @@ from .contracts import (
     ContractMenu,
     ContractPair,
     MenuAudit,
-    RentReport,
     continuous_schedule,
     continuous_second_best_snr,
     first_best_contract,
@@ -15,7 +14,6 @@ from .contracts import (
     second_best_menu,
     select_best_contract,
     snr_to_db,
-    source_utility,
     verify_menu,
 )
 from .distributions import (

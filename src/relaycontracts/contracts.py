@@ -23,8 +23,6 @@ __all__ = [
     "ContractPair",
     "ContractMenu",
     "MenuAudit",
-    "RentReport",
-    "source_utility",
     "relay_utility",
     "first_best_contract",
     "first_best_menu",
@@ -40,11 +38,6 @@ __all__ = [
 
 _TWO_LN2 = 2.0 * math.log(2.0)
 MONEY_TOL = 1e-9
-
-
-def source_utility(snr: float) -> float:
-    """Half-duplex Shannon utility of one relayed subcarrier, bits/symbol."""
-    return 0.5 * math.log2(1.0 + snr)
 
 
 def snr_to_db(snr_linear: float) -> float:
@@ -118,13 +111,6 @@ class MenuAudit:
             and all(self.adjacent_ic_binding)
             and self.monotone
         )
-
-
-@dataclass(frozen=True)
-class RentReport:
-    """Surplus each designed type earns from its own pair."""
-
-    rents: np.ndarray
 
 
 def relay_utility(pair: ContractPair, theta: float, cost_coeff: float) -> float:
@@ -330,15 +316,14 @@ def verify_menu(menu: ContractMenu, tol: float = MONEY_TOL) -> MenuAudit:
     )
 
 
-def information_rent(menu: ContractMenu) -> RentReport:
+def information_rent(menu: ContractMenu) -> np.ndarray:
     """Per-type surplus t_k - c*gamma_k/delta_k under truthful selection."""
-    rents = menu.transfers - menu.cost_coeff * menu.snrs / menu.grid.deltas
-    return RentReport(rents=rents)
+    return menu.transfers - menu.cost_coeff * menu.snrs / menu.grid.deltas
 
 
 def menu_to_csv(menu: ContractMenu) -> str:
     """Deterministic tabular dump: k, delta, gamma_linear, gamma_db, transfer, rent."""
-    rents = information_rent(menu).rents
+    rents = information_rent(menu)
     lines = ["k,delta,gamma_linear,gamma_db,transfer,rent"]
     for i, pair in enumerate(menu.pairs):
         lines.append(

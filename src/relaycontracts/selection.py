@@ -10,7 +10,9 @@ upper bound, and an exhaustive oracle for small instances.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -41,8 +43,9 @@ _UNIT_SNAP = 1e-9  # guards ceil/floor against float noise in t * resolution
 _EXACT_UNITS = 2**53  # money-unit counts from here on are no longer exact floats
 _MAX_DP_BYTES = 2**28  # knapsack memory cap: bool table plus two float rows
 _MAX_OFFER_BYTES = 2**28  # offers CSV cap: the SNR and transfer arrays together
-_BISECT_LEVELS = 4  # most bisection levels one water-fill call evaluates
-_BISECT_SCRATCH_CELLS = 3 * 2**13  # speculative multipliers x rows x width, at most
+_CSV_HUGE_INDEX = 2**30  # offers CSV indices from here on exceed the cap
+_CSV_CHUNK = 1 << 16  # characters of offers CSV split into lines at a time
+_LN2 = math.log(2.0)
 
 
 class SelectionMethod(str, Enum):
@@ -74,6 +77,13 @@ class OfferMatrix:
             raise ValueError("offers must be finite and non-negative")
         if np.any((snr == 0.0) & (transfer > 0.0)):
             raise ValueError("null offers must carry zero transfer")
+        with np.errstate(over="ignore"):  # methods add SNRs per subcarrier, prices overall
+            totals = np.cumsum(transfer.sum(axis=0))
+            sums = {"SNR sum": snr.sum(axis=0), "running total transfer": totals}
+        for what, values in sums.items():
+            if not np.all(values < np.inf):
+                n = int(np.argmax(values == np.inf))
+                raise ValueError(f"offers overflow at subcarrier {n}: its {what} is inf")
         with np.errstate(over="ignore"):
             ratio = np.divide(snr, transfer, out=np.zeros_like(snr), where=transfer > 0.0)
         if not np.all(ratio < np.inf):
@@ -108,7 +118,8 @@ class SelectionProblem:
             raise ValueError(f"resolution must be a unit count in [1, 2**53), got {self.resolution}")
         # Prices become whole money units in int64; at 2**53 and above the
         # float product is no longer exact and can overflow the cast.
-        priced = self.offers.transfer * self.resolution
+        with np.errstate(over="ignore"):
+            priced = self.offers.transfer * self.resolution
         if priced.size and priced.max() >= _EXACT_UNITS:
             m, n = np.unravel_index(int(priced.argmax()), priced.shape)
             raise ValueError(
@@ -265,12 +276,14 @@ def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
         raise ValueError(f"no weight profile for method {kind}")
     if kind is SelectionMethod.ESW:
         return np.ones(offers.n)
+    # Weights may overflow; `weighted_split_selection` names that error.
     if kind is SelectionMethod.ASW:
         if offers.m == 0:
             return np.zeros(offers.n)
-        return _efficiency(offers).sum(axis=0) / offers.m
+        with np.errstate(over="ignore"):
+            return _efficiency(offers).sum(axis=0) / offers.m
     sum_t = offers.transfer.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(sum_t > 0.0, offers.snr.sum(axis=0) / sum_t, 0.0)
 
 
@@ -288,7 +301,8 @@ def weighted_split_selection(
     """
     offers = problem.offers
     weights = weight_profile(offers, kind)
-    total = weights.sum()
+    with np.errstate(over="ignore"):
+        total = weights.sum()
     if not total < math.inf:
         raise ValueError(f"{kind.value} budget weights overflow: their sum is {total}")
     if total <= 0.0:
@@ -297,7 +311,8 @@ def weighted_split_selection(
     offered = offers.snr > 0.0
     units = _price_units(offers.transfer, resolution)
     widest = (np.where(offered, units, 0).sum(axis=0) + 0.5) / resolution
-    sub_budgets = np.minimum(weights * problem.budget / total, widest)
+    with np.errstate(over="ignore"):  # an infinite share is capped at `widest`
+        sub_budgets = np.minimum(weights * problem.budget / total, widest)
     never = np.iinfo(np.int64).max
     cheapest = np.where(offered, units, never).min(axis=0, initial=never)
     affordable = cheapest <= np.floor(sub_budgets * resolution + _UNIT_SNAP)  # knapsack_01's test
@@ -387,63 +402,10 @@ def best_snr_baseline(problem: SelectionProblem) -> SelectionResult:
     return _result(offers, subsets, SelectionMethod.BEST_SNR)
 
 
-def _waterfill_rows(
-    eff: np.ndarray,
-    cum_snr: np.ndarray,
-    brackets: np.ndarray,
-    row_starts: np.ndarray,
-    base_snr: np.ndarray,
-    lams: np.ndarray,
-    scratch: np.ndarray,
-):
-    """Per-subcarrier box-constrained maximizer of log2(1+b+s) - lam*spend,
-    for each multiplier in `lams` at once.
-
-    Offers arrive sorted by efficiency; each is bought in full while the
-    marginal value at the accumulated SNR exceeds lam times its price, the
-    marginal offer fractionally.  Row `row_starts[n] + j` of `brackets` holds
-    the efficiency of subcarrier n's offer j, then its cumulative SNR and
-    spend after and before that offer.  `scratch` is a float buffer of
-    shape (multipliers, rows, width).  Returns (snr bought, money spent),
-    each of shape (multipliers, rows); the caller suppresses the 0/0 of
-    rows with nothing left to split.
-    """
-    scale = lams * math.log(2.0)
-    stop = np.divide(eff, scale[:, None, None], out=scratch)
-    stop -= 1.0
-    stop -= base_snr[:, None]
-    over = cum_snr > stop
-    # Along a row cum_snr rises and the threshold falls, so `over` is False
-    # then True: the row buys every offer iff its last entry is False.
-    full_all = ~over[:, :, -1]
-    first = np.where(full_all, cum_snr.shape[1] - 1, over.argmax(axis=2))
-
-    # The same per-element arithmetic as `over`, on the bracket rows only.
-    eff_at, snr_hi, snr_lo, spend_hi, spend_lo = brackets[first + row_starts].transpose(2, 0, 1)
-    stop_at = eff_at / scale[:, None] - 1.0 - base_snr
-    gamma_b = snr_hi - snr_lo
-    room = np.minimum(np.maximum(stop_at - snr_lo, 0.0), gamma_b)
-    frac = np.where((gamma_b > 0.0) & ~full_all, room / gamma_b, 0.0)
-    snr_at = np.where(full_all, snr_hi, snr_lo)
-    spend_at = np.where(full_all, spend_hi, spend_lo)
-    return snr_at + frac * gamma_b, spend_at + frac * (spend_hi - spend_lo)
-
-
 def relaxed_upper_bound(problem: SelectionProblem) -> float:
-    """Upper bound on the selection optimum from the fractional relaxation.
-
-    Solves max sum_n log2(1 + sum_m x*snr) over 0 <= x <= 1 and the budget
-    by bisecting the budget multiplier; the inner problem water-fills each
-    subcarrier in efficiency order.  The returned dual value is always a
-    valid bound; bisection stops at duality gap 1e-6 or 200 iterations.
-
-    Each water-fill call evaluates 2**L - 1 multipliers: the midpoints of
-    the next L bisection levels, both branches of each.  The walk down the
-    branches the signs select visits the same multipliers, in the same
-    order, as plain bisection one step at a time, so the bound is the same
-    float.  L is 4 on small instances (15 multipliers; the water-fill calls
-    drop from about 31 to about 8) and falls with rows x width to plain
-    bisection, so speculation never takes more than 192 KiB of scratch.
+    """Upper bound on the selection optimum: the optimum of its fractional
+    relaxation, max sum_n log2(1 + sum_m x*snr) over 0 <= x <= 1 and the
+    budget, exact up to rounding (no longer a dual value within 1e-6).
     """
     offers = problem.offers
     budget = problem.budget
@@ -458,76 +420,50 @@ def relaxed_upper_bound(problem: SelectionProblem) -> float:
         return float(
             np.log2(1.0 + base_snr + np.where(buyable, offers.snr, 0.0).sum(axis=0)).sum()
         )
-
-    # Rows sorted by efficiency, padded with worthless items so every
-    # subcarrier has the same width; padding never gets bought.
-    eff = np.where(buyable, _efficiency(offers), 0.0)
-    snr = np.where(buyable, offers.snr, 0.0)
-    transfer = np.where(buyable, offers.transfer, 0.0)
-    order = np.argsort(-eff, axis=0)
-    eff = np.ascontiguousarray(np.take_along_axis(eff, order, axis=0).T)
-    cum_snr = np.cumsum(np.take_along_axis(snr, order, axis=0).T, axis=1)
-    cum_transfer = np.cumsum(np.take_along_axis(transfer, order, axis=0).T, axis=1)
-    rows, width = cum_snr.shape
-    zero_col = np.zeros((rows, 1))
-    prev_snr = np.concatenate([zero_col, cum_snr[:, :-1]], axis=1)
-    prev_spend = np.concatenate([zero_col, cum_transfer[:, :-1]], axis=1)
-    brackets = np.stack(
-        [eff, cum_snr, prev_snr, cum_transfer, prev_spend], axis=-1
-    ).reshape(-1, 5)
-    row_starts = np.arange(rows) * width
-
-    lam_max = float(eff.max()) / math.log(2.0) + 1.0
-    lo, hi = 0.0, lam_max
-    dual_best = math.inf
-    primal_best = base_cap
-    steps = 0
-    levels = _bisect_levels(rows * width)
-    scratch = np.empty((2**levels - 1, rows, width))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            # The midpoints of the next `levels` bisection levels in heap order:
-            # node k's children are 2k+1 (lo moved up) and 2k+2 (hi moved down).
-            lams: list[float] = []
-            nodes = [(lo, hi)]
-            for k in range(2**levels - 1):
-                node_lo, node_hi = nodes[k]
-                lams.append(0.5 * (node_lo + node_hi))
-                if k < 2 ** (levels - 1) - 1:
-                    nodes += [(lams[k], node_hi), (node_lo, lams[k])]
-            snr_rows, spend_rows = _waterfill_rows(
-                eff, cum_snr, brackets, row_starts, base_snr, np.array(lams), scratch
-            )
-            values = np.log2(1.0 + base_snr + snr_rows).sum(axis=1).tolist()
-            spents = spend_rows.sum(axis=1).tolist()
-            k = 0
-            for _ in range(levels):
-                lam, value, spent = lams[k], values[k], spents[k]
-                dual_best = min(dual_best, value - lam * spent + lam * budget)
-                if spent <= budget:
-                    primal_best = max(primal_best, value)
-                    hi = lam
-                    k = 2 * k + 2
-                else:
-                    lo = lam
-                    k = 2 * k + 1
-                steps += 1  # counted per level, so the cap holds at any depth
-                if dual_best - primal_best <= 1e-6 or steps == 200:
-                    return dual_best
+    return float(np.log2(1.0 + _breakpoint_sweep(offers, budget, base_snr)[0]).sum())
 
 
-def _bisect_levels(cells: int) -> int:
-    """Bisection levels per water-fill call for a rows x width threshold array.
+def _breakpoint_sweep(offers: OfferMatrix, budget: float, base_snr: np.ndarray):
+    """The relaxation's optimal SNR per subcarrier, mu* and the spend there,
+    for a budget below the offers' total price (b_n = `base_snr`).
 
-    Speculating L levels evaluates 2**L - 1 multipliers to walk L of them, so
-    it pays only while per-call overhead outweighs the extra arithmetic; the
-    deepest L whose scratch stays within _BISECT_SCRATCH_CELLS is taken,
-    down to plain one-step bisection on large instances.
+    With mu = 1/lambda, subcarrier n buys offers in efficiency order until
+    1 + b_n + S_n = e_j*mu/ln2.  Offer j is fractional from mu = floor_j*ln2/e_j
+    (floor_j: 1 + b_n + the SNR of the offers ahead of it) to that plus
+    t_j*ln2, its spend rising with slope 1/ln2: spend is piecewise linear in mu.
     """
-    levels = _BISECT_LEVELS
-    while levels > 1 and (2**levels - 1) * cells > _BISECT_SCRATCH_CELLS:
-        levels -= 1
-    return levels
+    eff = _efficiency(offers)
+    order = np.argsort(-eff, axis=0, kind="stable"), np.arange(offers.n)
+    eff, snr, price = eff[order], offers.snr[order], offers.transfer[order]
+    ahead = np.zeros_like(snr)
+    np.cumsum(snr[:-1], axis=0, out=ahead[1:])
+    rows, cols = np.nonzero(price > 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        # An offer too inefficient for a finite mu starts at the largest float.
+        starts = np.minimum((ahead + (1.0 + base_snr)) * _LN2 / eff, np.finfo(float).max)
+        start, gain, price = starts[rows, cols], snr[rows, cols], price[rows, cols]
+        width = price * _LN2
+        end, count = start + width, start.size
+        # Spend times ln2 at each breakpoint.  At one mu, starts sort first,
+        # then the narrowest end.  An end adds its offer's exact width, not
+        # the rounded one it swept, so an offer narrower than the float
+        # spacing of its mu keeps its spend.
+        events = np.concatenate([start, end])
+        ranked = np.lexsort((np.concatenate([np.zeros(count), width]), events))
+        mus = events[ranked]
+        active = np.cumsum(np.where(ranked < count, 1, -1))
+        steps = np.concatenate([np.zeros(count), width - (end - start)])[ranked]
+        steps[1:] += active[:-1] * np.diff(mus)
+        spend = np.cumsum(steps)
+        k = min(int(np.searchsorted(spend, budget * _LN2, side="right")) - 1, 2 * count - 2)
+        step = (budget * _LN2 - spend[k]) / active[k]
+        # Offers ending by breakpoint k are bought, those starting after it
+        # are not, and the rest are measured from their own start.
+        passed = np.zeros(2 * count, dtype=bool)
+        passed[ranked[: k + 1]] = True
+        share = np.clip((mus[k] - start + step) / width, 0.0, 1.0)
+        bought = np.where(passed[count:], 1.0, np.where(passed[:count], share, 0.0))
+    return base_snr + np.bincount(cols, bought * gain, offers.n), mus[k] + step, bought @ price
 
 
 def exhaustive_optimum(problem: SelectionProblem) -> SelectionResult:
@@ -582,41 +518,96 @@ def offers_to_csv(offers: OfferMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nonblank_lines(text: str):
+    """(number, line) of each non-blank line as `text.splitlines()` numbers
+    them, split a chunk at a time; a cut after a newline is a line boundary."""
+    lineno = begin = 0
+    while begin < len(text):
+        cut = text.find("\n", begin + _CSV_CHUNK) + 1 or len(text)
+        for line in text[begin:cut].splitlines():
+            lineno += 1
+            if line.strip():
+                yield lineno, line
+        begin = cut
+
+
+def _cells(ms: array, ns: array) -> tuple[int, np.ndarray]:
+    """Width n_span and flat index m * n_span + n of each parsed entry."""
+    n_span = int(np.frombuffer(ns, dtype=np.int64).max(initial=0)) + 1
+    cells = np.frombuffer(ms, dtype=np.int64) * n_span
+    cells += np.frombuffer(ns, dtype=np.int64)
+    return n_span, cells
+
+
+def _repeat_error(text: str, n_span: int, cells: np.ndarray) -> ValueError | None:
+    """The error for the first entry whose cell an earlier one has, if any."""
+    order = np.argsort(cells, kind="stable")  # each cell's entries in file order
+    ordered = cells[order]
+    repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if repeats.size == 0:
+        return None
+    repeat = int(order[repeats + 1].min())
+    first = int(order[np.searchsorted(ordered, cells[repeat])])
+    first_line, repeat_line = (
+        next(itertools.islice(_nonblank_lines(text), entry + 1, None))[0]
+        for entry in (first, repeat)
+    )
+    m, n = divmod(int(cells[repeat]), n_span)
+    return ValueError(f"line {repeat_line}: offer ({m}, {n}) repeats line {first_line}")
+
+
 def offers_from_csv(text: str) -> OfferMatrix:
-    """Parse the offers wire format; raises ValueError naming the bad line."""
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1].strip() != "m,n,gamma_linear,transfer":
+    """Parse the offers wire format; raises ValueError naming the bad line.
+
+    Entries go into flat arrays.  A stable sort of their cells finds a
+    repeated offer, and one scatter fills each matrix.  Errors come in line
+    order, and the size cap is checked last, before allocating.
+    """
+    lines = _nonblank_lines(text)
+    if next(lines, (0, ""))[1].strip() != "m,n,gamma_linear,transfer":
         raise ValueError("line 1: expected header 'm,n,gamma_linear,transfer'")
-    entries: dict[tuple[int, int], tuple[int, float, float]] = {}
-    for lineno, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 4 comma-separated fields")
-        try:
-            m, n = int(parts[0]), int(parts[1])
-            g, t = float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if m < 0 or n < 0:
-            raise ValueError(f"line {lineno}: negative relay or subcarrier index")
-        if (m, n) in entries:
-            raise ValueError(f"line {lineno}: offer ({m}, {n}) repeats line {entries[m, n][0]}")
-        entries[m, n] = (lineno, g, t)
-    if not entries:
-        return OfferMatrix(np.zeros((0, 0)), np.zeros((0, 0)))
-    m_max = max(m for m, _ in entries) + 1
-    n_max = max(n for _, n in entries) + 1
+    ms, ns, gs, ts = array("q"), array("q"), array("d"), array("d")
+    m_max = n_max = 0
+    try:
+        for lineno, line in lines:
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ValueError(f"line {lineno}: expected 4 comma-separated fields")
+            try:
+                m, n = int(parts[0]), int(parts[1])
+                g, t = float(parts[2]), float(parts[3])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if m < 0 or n < 0:
+                raise ValueError(f"line {lineno}: negative relay or subcarrier index")
+            m_max, n_max = max(m_max, m + 1), max(n_max, n + 1)
+            # An index the size cap rejects anyway is stored as a stand-in no
+            # other entry shares, which keeps the cells within int64.
+            ms.append(m if m < _CSV_HUGE_INDEX else _CSV_HUGE_INDEX + len(ms))
+            ns.append(n if n < _CSV_HUGE_INDEX else _CSV_HUGE_INDEX + len(ns))
+            gs.append(g)
+            ts.append(t)
+    except ValueError as exc:  # unless the entries above it already repeat a cell
+        raise _repeat_error(text, *_cells(ms, ns)) or exc from None
+    n_span, cells = _cells(ms, ns)
+    del ms, ns
+    error = _repeat_error(text, n_span, cells)
+    if error is not None:
+        raise error
     if 2 * 8 * m_max * n_max > _MAX_OFFER_BYTES:
         raise ValueError(
             f"offers span {m_max} relays x {n_max} subcarriers: "
             "their SNR and transfer arrays would exceed 2**28 bytes"
         )
-    snr = np.zeros((m_max, n_max))
-    transfer = np.zeros((m_max, n_max))
-    for (m, n), (_, g, t) in entries.items():
-        snr[m, n] = g
-        transfer[m, n] = t
-    return OfferMatrix(snr, transfer)
+    # Within the cap every index is exact and n_span is n_max.
+    # Each flat array goes as soon as it is used, for a lower peak.
+    snr = np.zeros(m_max * n_max)
+    snr[cells] = np.frombuffer(gs)
+    del gs
+    transfer = np.zeros(m_max * n_max)
+    transfer[cells] = np.frombuffer(ts)
+    del ts, cells
+    return OfferMatrix(snr.reshape(m_max, n_max), transfer.reshape(m_max, n_max))
 
 
 def selection_to_csv(results: Sequence[SelectionResult], bounds: dict | None = None) -> str:

@@ -286,7 +286,7 @@ def reproduce_table3(cost_coeff: float = 1.0) -> list[Table3Row]:
     dist = TypeDistribution.uniform(50.0, 300.0)
     grid = TypeGrid.from_distribution(dist, 10, 16)
     menu = second_best_menu(grid, cost_coeff)
-    rents = information_rent(menu).rents
+    rents = information_rent(menu)
     rows = []
     for i, delta in enumerate(grid.deltas):
         fb = first_best_contract(float(delta), cost_coeff)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,14 +206,38 @@ def test_property_select_exits_cleanly_on_any_input(
         argv += [f"--resolution={resolution}"]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    if code == 1:  # numpy may warn about overflow before the error line
-        assert err.getvalue().splitlines()[-1].startswith("error: ")
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+@pytest.mark.parametrize("argv", [
+    ["select", "{offers}", "--budget", "2"],
+    ["select", "{offers}", "--budget", "0.5"],
+    ["select", "{offers}", "--budget", "1e300", "--resolution", "1"],
+    ["simulate", "--relays", "0,3", "--budget", "0,1.5", "--subcarriers", "3", "--trials", "2"],
+    ["simulate", "--relays", "4", "--trials", "2", "--information", "complete", "--quant", "1"],
+])
+def test_accepted_inputs_run_without_numpy_warnings(tmp_path, capsys, argv):
+    # SNRs near the float maximum (no sum overflows), a vanishing SNR per
+    # unit price, free and declined offers, and tiny or huge budgets.
+    offers = tmp_path / "offers.csv"
+    offers.write_text(
+        "m,n,gamma_linear,transfer\n0,0,1e308,1\n1,0,5,1\n0,1,1e-320,1\n"
+        "1,1,3,0\n2,1,0,0\n2,0,7,0.25\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([arg.format(offers=offers) for arg in argv]) == 0
+    assert capsys.readouterr().err == ""
+
 
 def test_select_malformed_csv_names_line(tmp_path, capsys):
     offers = tmp_path / "offers.csv"

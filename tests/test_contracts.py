@@ -164,7 +164,7 @@ def test_verify_menu_flags_decreasing_snr():
 
 
 def test_information_rent_matches_table(table3_menu):
-    rents = information_rent(table3_menu).rents
+    rents = information_rent(table3_menu)
     assert np.allclose(rents, TABLE3_RENT, atol=1e-3)
     assert rents[0] == pytest.approx(0.0, abs=1e-9)
     assert np.all(np.diff(rents) >= 0.0)
@@ -172,13 +172,13 @@ def test_information_rent_matches_table(table3_menu):
 
 def test_information_rent_single_type():
     grid = TypeGrid(np.array([70.0]), np.ones((1, 1)))
-    rents = information_rent(second_best_menu(grid, 1.0)).rents
+    rents = information_rent(second_best_menu(grid, 1.0))
     assert rents[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rent_difference_identity(table3_menu):
     # rent_k - rent_{k-1} = c * gamma_{k-1} * (1/delta_{k-1} - 1/delta_k)
-    rents = information_rent(table3_menu).rents
+    rents = information_rent(table3_menu)
     deltas = table3_menu.grid.deltas
     gammas = table3_menu.snrs
     diff = rents[1] - rents[0]
