@@ -276,14 +276,12 @@ def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
         raise ValueError(f"no weight profile for method {kind}")
     if kind is SelectionMethod.ESW:
         return np.ones(offers.n)
-    # Weights may overflow; `weighted_split_selection` names that error.
     if kind is SelectionMethod.ASW:
         if offers.m == 0:
             return np.zeros(offers.n)
-        with np.errstate(over="ignore"):
-            return _efficiency(offers).sum(axis=0) / offers.m
+        return _efficiency(offers).sum(axis=0) / offers.m
     sum_t = offers.transfer.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(sum_t > 0.0, offers.snr.sum(axis=0) / sum_t, 0.0)
 
 
@@ -300,8 +298,8 @@ def weighted_split_selection(
     holds gets no knapsack call: `knapsack_01` would find nothing usable.
     """
     offers = problem.offers
-    weights = weight_profile(offers, kind)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # weights that overflow are the named error below
+        weights = weight_profile(offers, kind)
         total = weights.sum()
     if not total < math.inf:
         raise ValueError(f"{kind.value} budget weights overflow: their sum is {total}")
