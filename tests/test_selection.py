@@ -560,7 +560,8 @@ def test_selection_problem_rejects_non_finite_budget(budget):
 # the optimized library code replaced.  The library must reproduce them bit
 # for bit (same subsets, same floats), except the relaxed bound: the
 # bisection stops at a duality gap of 1e-6, so the exact optimum may sit
-# up to 1e-6 below its dual value, and never above it (`assert_within_bisection`).
+# up to 1e-6 below its dual value, and above it only by rounding
+# (`assert_within_bisection`).
 
 _UNIT_SNAP = 1e-9
 
