@@ -9,6 +9,7 @@ explicit flags override file values.  Exit codes: 0 success, 2 usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from enum import EnumMeta
@@ -154,6 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# `main` parses with one parser per process; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -193,7 +198,7 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "contracts":

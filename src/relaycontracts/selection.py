@@ -285,6 +285,10 @@ def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
         return np.where(sum_t > 0.0, offers.snr.sum(axis=0) / sum_t, 0.0)
 
 
+class _WeightOverflow(ValueError):
+    """A split's budget weights sum to infinity, so it has no budget shares."""
+
+
 def weighted_split_selection(
     problem: SelectionProblem, kind: SelectionMethod
 ) -> SelectionResult:
@@ -294,33 +298,55 @@ def weighted_split_selection(
     subcarrier's knapsack gets at most the total price of its offers, in
     whole money units, plus half a unit: above that price every offer fits,
     so the selection is the same and the DP stays as wide as the offers.
-    A subcarrier whose cheapest offer costs more units than its sub-budget
-    holds gets no knapsack call: `knapsack_01` would find nothing usable.
+    A subcarrier whose usable offers (those `knapsack_01` would consider)
+    all fit its sub-budget together, including none, gets no knapsack call:
+    `_take_all` returns the DP's selection there.
     """
     offers = problem.offers
     with np.errstate(over="ignore"):  # weights that overflow are the named error below
         weights = weight_profile(offers, kind)
         total = weights.sum()
     if not total < math.inf:
-        raise ValueError(f"{kind.value} budget weights overflow: their sum is {total}")
+        raise _WeightOverflow(f"{kind.value} budget weights overflow: their sum is {total}")
     if total <= 0.0:
         return _empty_result(offers, kind)
     resolution = problem.resolution
     offered = offers.snr > 0.0
     units = _price_units(offers.transfer, resolution)
-    widest = (np.where(offered, units, 0).sum(axis=0) + 0.5) / resolution
+    # Float sums of whole units are exact below 2**53 and stay at or above
+    # it; int64 sums of many prices near 2**53 units would wrap.
+    widest = (np.where(offered, units, 0).sum(axis=0, dtype=float) + 0.5) / resolution
     with np.errstate(over="ignore"):  # an infinite share is capped at `widest`
         sub_budgets = np.minimum(weights * problem.budget / total, widest)
-    never = np.iinfo(np.int64).max
-    cheapest = np.where(offered, units, never).min(axis=0, initial=never)
-    affordable = cheapest <= np.floor(sub_budgets * resolution + _UNIT_SNAP)  # knapsack_01's test
-    subsets = [
-        knapsack_01(offers.snr[:, n], offers.transfer[:, n], sub_budgets[n], resolution)
-        if affordable[n]
-        else []
-        for n in range(offers.n)
-    ]
+    caps = np.floor(sub_budgets * resolution + _UNIT_SNAP)  # knapsack_01's unit budgets
+    usable = offered & (units <= caps)
+    fits = np.where(usable, units, 0).sum(axis=0, dtype=float) <= caps
+    subsets = []
+    for n in range(offers.n):
+        if fits[n]:
+            relays = np.flatnonzero(usable[:, n])
+            subsets.append(_take_all(relays.tolist(), offers.snr[relays, n].tolist()))
+        else:
+            subsets.append(
+                knapsack_01(offers.snr[:, n], offers.transfer[:, n], sub_budgets[n], resolution)
+            )
     return _result(offers, subsets, kind)
+
+
+def _take_all(relays: list[int], gammas: list[float]) -> list[int]:
+    """`knapsack_01`'s selection when all its usable offers fit the budget.
+
+    There its best value at every capacity from the offers' running weight
+    up is their running float sum, so the traceback takes offer m exactly
+    when adding its SNR moves that sum: a 1e-17 after a 100 is left out.
+    """
+    chosen = []
+    total = 0.0
+    for m, g in zip(relays, gammas):
+        if total + g > total:
+            chosen.append(m)
+        total += g
+    return chosen
 
 
 def sscpa(problem: SelectionProblem) -> SelectionResult:
@@ -364,12 +390,19 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
 def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     """Best of the ESW/ASW/NSW splits and SSCPA; ties keep the earlier method.
 
-    The selection is feasible, so its capacity never exceeds
-    `exhaustive_optimum`. It does not dominate `best_snr_baseline` on every
+    An ASW or NSW split whose budget weights overflow drops out; ESW's
+    weights are ones, so ESW and SSCPA always compete.  The selection is
+    feasible, so its capacity never exceeds `exhaustive_optimum`. It does
+    not dominate `best_snr_baseline` on every
     instance: each candidate commits money per subcarrier, and the greedy's
     global packing can win. The ordering holds on average only.
     """
-    candidates = [weighted_split_selection(problem, kind) for kind in _SPLIT_KINDS]
+    candidates = []
+    for kind in _SPLIT_KINDS:
+        try:
+            candidates.append(weighted_split_selection(problem, kind))
+        except _WeightOverflow:
+            continue
     candidates.append(sscpa(problem))
     best = max(candidates, key=lambda r: r.capacity)
     return SelectionResult(

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relaycontracts import TypeGrid, second_best_menu
+from relaycontracts import cli
 from relaycontracts.cli import main
 
 KNAPSACK_OFFERS = (
@@ -237,6 +238,113 @@ def test_accepted_inputs_run_without_numpy_warnings(tmp_path, capsys, argv):
         warnings.simplefilter("error")
         assert main([arg.format(offers=offers) for arg in argv]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_select_drops_the_splits_whose_weights_overflow(tmp_path, capsys):
+    # SNR per unit price 1e308 on two subcarriers: ASW's and NSW's budget
+    # weights sum to inf, so ESW and SSCPA compete alone.
+    offers = tmp_path / "offers.csv"
+    offers.write_text("m,n,gamma_linear,transfer\n0,0,1e300,1e-8\n0,1,1e300,1e-8\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["select", str(offers), "--budget", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = parse_csv(out)
+    assert {row["method"] for row in rows} == {"Overall", "BestSNR", "Relaxed"}
+    assert {row["capacity"] for row in rows} == {"1993.15685693"}
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one `main` call in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_per_process_answers_each_call_as_a_fresh_one(tmp_path):
+    offers = tmp_path / "offers.csv"
+    offers.write_text(KNAPSACK_OFFERS)
+    calls = [
+        ["select", str(offers), "--budget", "x"],
+        ["select", str(offers), "--budget", "-1"],
+        ["select", str(offers), "--budget", "2", "--resolution", "10"],
+        ["simulate", "--relays", "3", "--budget", "2", "--subcarriers", "2", "--trials", "2"],
+    ]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run_cli(argv))
+    cli._parser.cache_clear()
+    together = [run_cli(argv) for argv in calls]
+    assert [code for code, _, _ in together] == [2, 2, 0, 0]
+    assert together == alone
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def _mostly(valid, *odd):
+    """Four draws in five from `valid`, the rest malformed text from `odd`."""
+    return st.one_of(*[valid] * 4, st.sampled_from(odd))
+
+
+_SMALL_INT = _mostly(st.integers(0, 3).map(str), "-1", "1.5", "x", "", "1e3", "2,3")
+_FLOAT_TEXT = _mostly(
+    st.floats(0.0, 20.0).map(repr), "-1", "nan", "inf", "1e300", "", ",", "1,2", "2,nan", "x"
+)
+_SIMULATE_FLAGS = {
+    "--relays": _SMALL_INT,
+    "--budget": _FLOAT_TEXT,
+    "--subcarriers": _SMALL_INT,
+    "--quant": _SMALL_INT,
+    "--trials": _SMALL_INT,
+    "--cost": _FLOAT_TEXT,
+    "--seed": _mostly(st.integers(0, 99).map(str), "-1", "x", "9" * 40),
+    "--resolution": _mostly(st.integers(1, 2000).map(str), "0", "x"),
+    "--menu": _mostly(st.sampled_from(["first_best", "second_best"]), "third"),
+    "--information": _mostly(st.sampled_from(["complete", "asymmetric"]), ""),
+    "--config": st.just("missing.json"),
+}
+_SELECT_FLAGS = {
+    "--budget": _FLOAT_TEXT,
+    "--resolution": _mostly(st.integers(1, 5000).map(str), "0", "x"),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A `select` or `simulate` command line, mostly of small valid values."""
+    command = draw(st.sampled_from(["select", "simulate"]))
+    flags = _SELECT_FLAGS if command == "select" else _SIMULATE_FLAGS
+    argv = [command, *draw(_mostly(st.just(["{offers}"]), []))] if command == "select" else [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+        argv += [flag, draw(flags[flag])]
+    if command == "simulate" and "--trials" not in argv:
+        argv += ["--trials", "1"]  # the default 1000 trials per cell take seconds
+    stray = draw(_mostly(st.none(), "--bogus", "-", "x"))
+    if stray is not None:
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(
+    max_examples=50, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=cli_argv(), rows=st.lists(_GOOD_ROW, max_size=6, unique_by=lambda row: tuple(row.split(",")[:2])))
+def test_property_select_and_simulate_argv_exit_cleanly(tmp_path, argv, rows):
+    offers = tmp_path / "offers.csv"
+    offers.write_text("\n".join([_HEADER, *rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli([arg.format(offers=offers) for arg in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_select_malformed_csv_names_line(tmp_path, capsys):

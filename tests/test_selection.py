@@ -927,14 +927,16 @@ def test_sscpa_hand_trace_of_an_offer_that_fits_only_on_the_first_pass():
 
 
 def counting_knapsack(monkeypatch):
-    """Record each knapsack_01 call the splits make, with its usable count."""
+    """Record each knapsack_01 call the splits make: its usable offers'
+    count, their total price units and the call's budget in units."""
     calls = []
     original = selection_module.knapsack_01
 
     def wrapper(snr_col, transfer_col, sub_budget, resolution):
         units = math.floor(sub_budget * resolution + _UNIT_SNAP)
         prices = np.maximum(np.ceil(np.asarray(transfer_col) * resolution - _UNIT_SNAP), 0)
-        calls.append(int(np.count_nonzero((np.asarray(snr_col) > 0.0) & (prices <= units))))
+        usable = (np.asarray(snr_col) > 0.0) & (prices <= units)
+        calls.append((int(np.count_nonzero(usable)), int(prices[usable].sum()), units))
         return original(snr_col, transfer_col, sub_budget, resolution)
 
     monkeypatch.setattr(selection_module, "knapsack_01", wrapper)
@@ -970,13 +972,65 @@ def test_splits_call_the_knapsack_only_where_an_offer_is_affordable(monkeypatch)
             result = weighted_split_selection(problem, kind)
             assert result.subsets == tuple(reference_split(problem, kind))
             skipped += n - (len(calls) - before)
-    assert calls and min(calls) >= 1
+    assert calls and min(usable for usable, _, _ in calls) >= 1
     assert skipped > 0
+
+
+def test_split_takes_all_fitting_offers_as_the_dp_traces_them_back(monkeypatch):
+    # Both offers fit, but 100 + 1e-17 == 100: the DP never takes the second.
+    calls = counting_knapsack(monkeypatch)
+    problem = SelectionProblem(offers_1d([100.0, 1e-17], [1.0, 1.0]), 5.0)
+    for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+        assert weighted_split_selection(problem, kind).subsets == ((0,),)
+    assert calls == []
+    assert knapsack_01(np.array([100.0, 1e-17]), np.ones(2), 5.0, 1000) == [0]
+    assert reference_knapsack(np.array([100.0, 1e-17]), np.ones(2), 5.0, 1000) == [0]
+
+
+def test_splits_run_the_knapsack_only_where_the_usable_offers_do_not_all_fit(monkeypatch):
+    calls = counting_knapsack(monkeypatch)
+    rng = np.random.default_rng(9090)
+    for _ in range(40):
+        m, n = int(rng.integers(1, 12)), 16
+        snr = rng.uniform(0.5, 200.0, (m, n)) * (rng.random((m, n)) > 0.3)
+        snr[rng.random((m, n)) < 0.05] = 1e-17
+        transfer = rng.uniform(0.05, 1.3, (m, n)) * (snr > 0.0)
+        transfer[rng.random((m, n)) < 0.05] = 0.0
+        offers = OfferMatrix(snr, transfer)
+        column_prices = transfer.sum(axis=0)
+        for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+            weights = weight_profile(offers, kind)
+            share = weights / weights.sum()
+            # Each subcarrier's budget share is 1.3-5 times its offers' price.
+            roomy = float(rng.uniform(1.3, 5.0) * (column_prices / np.maximum(share, 1e-300)).max())
+            tight = float(rng.uniform(0.05, 1.0) * column_prices.sum())
+            before = len(calls)
+            result = weighted_split_selection(SelectionProblem(offers, roomy, 1000), kind)
+            assert len(calls) == before
+            # What the DP takes with room for every offer of each subcarrier.
+            assert result.subsets == tuple(
+                tuple(reference_knapsack(snr[:, j], transfer[:, j], column_prices[j] + 1.0, 1000))
+                for j in range(n)
+            )
+            problem = SelectionProblem(offers, tight, 1000)
+            result = weighted_split_selection(problem, kind)
+            assert result.subsets == tuple(reference_split(problem, kind))
+    assert calls
+    assert all(reach > units for _, reach, units in calls)
 
 
 def test_knapsack_refuses_a_table_above_the_memory_cap():
     with pytest.raises(ValueError, match="1 usable offers x 20000001 money units"):
         knapsack_01(np.array([5.0, 1.0]), np.array([1.0, 3e7]), 2.0, 10**7)
+
+
+def test_split_prices_many_offers_near_2_to_the_53_units_without_wrapping():
+    # 2048 prices of 2**52 units add up to 2**63, past int64: the split must
+    # see a knapsack too wide for the memory cap, not a negative budget.
+    offers = OfferMatrix(np.ones((2048, 1)), np.full((2048, 1), float(2**52)))
+    problem = SelectionProblem(offers, 3.0 * 2**52, 1)
+    with pytest.raises(ValueError, match="2048 usable offers x 13510798882111489 money units"):
+        weighted_split_selection(problem, SelectionMethod.ESW)
 
 
 def test_selection_problem_rejects_prices_of_2_to_the_53_units():
@@ -1005,6 +1059,21 @@ def test_overflowing_efficiency_and_weights_are_named_errors():
             weighted_split_selection(huge, kind)
     with pytest.raises(ValueError, match="subcarrier 1: its running total transfer is inf"):
         OfferMatrix(np.array([[5.0, 5.0]]), np.array([[1e308, 1e308]]))
+
+
+def test_overall_drops_the_splits_whose_weights_overflow():
+    # SNR per unit price 1e308 on two subcarriers: ASW's and NSW's weights
+    # sum to inf, ESW's are ones.
+    offers = OfferMatrix(np.array([[1e300, 1e300]]), np.array([[1e-8, 1e-8]]))
+    problem = SelectionProblem(offers, 1.0)
+    for kind in (SelectionMethod.ASW, SelectionMethod.NSW):
+        with pytest.raises(ValueError, match=f"{kind.value} budget weights overflow"):
+            weighted_split_selection(problem, kind)
+    esw = weighted_split_selection(problem, SelectionMethod.ESW)
+    result = overall_heuristic(problem)
+    assert result.subsets == esw.subsets == ((0,), (0,))
+    assert result.capacity == max(esw.capacity, sscpa(problem).capacity)
+    assert result.method is SelectionMethod.OVERALL
 
 # -- property tests against the reference copies ------------------------------
 
