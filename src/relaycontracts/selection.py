@@ -322,8 +322,10 @@ def weighted_split_selection(
     usable = offered & (units <= caps)
     fits = np.where(usable, units, 0).sum(axis=0, dtype=float) <= caps
     subsets = []
-    for n in range(offers.n):
-        if fits[n]:
+    for n, (some, fit) in enumerate(zip(usable.any(axis=0).tolist(), fits.tolist())):
+        if not some:
+            subsets.append([])
+        elif fit:
             relays = np.flatnonzero(usable[:, n])
             subsets.append(_take_all(relays.tolist(), offers.snr[relays, n].tolist()))
         else:
