@@ -395,9 +395,9 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     An ASW or NSW split whose budget weights overflow drops out; ESW's
     weights are ones, so ESW and SSCPA always compete.  The selection is
     feasible, so its capacity never exceeds `exhaustive_optimum`. It does
-    not dominate `best_snr_baseline` on every
-    instance: each candidate commits money per subcarrier, and the greedy's
-    global packing can win. The ordering holds on average only.
+    not dominate `best_snr_baseline` on every instance: each candidate
+    commits money per subcarrier, and the greedy's global packing can win.
+    The ordering holds on average only.
     """
     candidates = []
     for kind in _SPLIT_KINDS:

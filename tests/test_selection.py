@@ -1024,6 +1024,15 @@ def test_knapsack_refuses_a_table_above_the_memory_cap():
         knapsack_01(np.array([5.0, 1.0]), np.array([1.0, 3e7]), 2.0, 10**7)
 
 
+def test_split_needs_no_table_where_every_offer_fits():
+    # At the split's share, capped at the offer's price, the DP would need
+    # 3e8 columns; with room for the one offer the split builds no table.
+    problem = SelectionProblem(offers_1d([5.0], [30.0]), 100.0, 10**7)
+    assert weighted_split_selection(problem, SelectionMethod.ESW).subsets == ((0,),)
+    with pytest.raises(ValueError, match="1 usable offers x 300000001 money units"):
+        knapsack_01(np.array([5.0]), np.array([30.0]), 30.0, 10**7)
+
+
 def test_split_prices_many_offers_near_2_to_the_53_units_without_wrapping():
     # 2048 prices of 2**52 units add up to 2**63, past int64: the split must
     # see a knapsack too wide for the memory cap, not a negative budget.
@@ -1074,6 +1083,7 @@ def test_overall_drops_the_splits_whose_weights_overflow():
     assert result.subsets == esw.subsets == ((0,), (0,))
     assert result.capacity == max(esw.capacity, sscpa(problem).capacity)
     assert result.method is SelectionMethod.OVERALL
+
 
 # -- property tests against the reference copies ------------------------------
 
