@@ -121,6 +121,19 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output CSV path (default: stdout)")
 
 
+def _at_least(kind, low, message):
+    """Flag parser that refuses values below `low` (NaN passes through)."""
+
+    def parse(text):
+        value = kind(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" names it
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaycontracts",
@@ -137,8 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
         "select", help="run the selection methods over an offers CSV"
     )
     select.add_argument("offers", help="offers CSV (m,n,gamma_linear,transfer)")
-    select.add_argument("--budget", type=float, default=16.0, help="total budget")
-    select.add_argument("--resolution", type=int, default=1000)
+    select.add_argument(
+        "--budget", type=_at_least(float, 0.0, "budget must be non-negative"),
+        default=16.0, help="total budget",
+    )
+    select.add_argument(
+        "--resolution", type=_at_least(int, 1, "resolution must be >= 1"), default=1000
+    )
     select.add_argument("--out", help="output CSV path (default: stdout)")
 
     simulate = commands.add_parser(
@@ -171,11 +189,7 @@ def _cmd_contracts(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_select(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.budget < 0.0:
-        parser.error("budget must be non-negative")
-    if args.resolution < 1:
-        parser.error("resolution must be >= 1")
+def _cmd_select(args: argparse.Namespace) -> int:
     offers = offers_from_csv(Path(args.offers).read_text())
     problem = SelectionProblem(offers, args.budget, args.resolution)
     results = [overall_heuristic(problem), best_snr_baseline(problem)]
@@ -198,13 +212,12 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "contracts":
             return _cmd_contracts(args)
         if args.command == "select":
-            return _cmd_select(args, parser)
+            return _cmd_select(args)
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_table3(args)

@@ -40,6 +40,12 @@ _TWO_LN2 = 2.0 * math.log(2.0)
 MONEY_TOL = 1e-9
 
 
+def _check_cost(cost_coeff: float) -> None:
+    """The one cost-coefficient check; NaN fails it too."""
+    if not 0.0 < cost_coeff < math.inf:
+        raise ValueError(f"cost coefficient must be finite and positive, got {cost_coeff}")
+
+
 def snr_to_db(snr_linear: float) -> float:
     return 10.0 * math.log10(snr_linear) if snr_linear > 0.0 else float("-inf")
 
@@ -72,8 +78,7 @@ class ContractMenu:
             raise ValueError(
                 f"menu has {len(self.pairs)} pairs for {self.grid.k} types"
             )
-        if self.cost_coeff <= 0.0:
-            raise ValueError("cost coefficient must be positive")
+        _check_cost(self.cost_coeff)
 
     @cached_property
     def snrs(self) -> np.ndarray:
@@ -115,10 +120,9 @@ class MenuAudit:
 
 def relay_utility(pair: ContractPair, theta: float, cost_coeff: float) -> float:
     """Relay profit t - c*snr/theta from honoring `pair` at true type theta."""
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise ValueError("relay type must be positive")
-    if cost_coeff <= 0.0:
-        raise ValueError("cost coefficient must be positive")
+    _check_cost(cost_coeff)
     return pair.transfer - cost_coeff * pair.snr / theta
 
 
@@ -128,15 +132,21 @@ def _snr_from_marginal_cost(chat):
     The one first-best SNR formula: every menu and the complete-information
     offers use it, so the no-distortion-at-the-top identity holds bitwise.
     """
-    return np.maximum(1.0 / (_TWO_LN2 * chat) - 1.0, 0.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        snr = np.maximum(1.0 / (_TWO_LN2 * np.asarray(chat, dtype=float)) - 1.0, 0.0)
+    if not np.all(snr < math.inf):
+        raise ValueError(
+            f"first-best SNR overflows at marginal cost c/theta = {np.min(chat):g}; "
+            "the cost coefficient is too small for these relay types"
+        )
+    return snr
 
 
 def first_best_contract(theta: float, cost_coeff: float) -> ContractPair:
     """Complete-information contract: efficient SNR, zero relay surplus."""
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise ValueError("relay type must be positive")
-    if cost_coeff <= 0.0:
-        raise ValueError("cost coefficient must be positive")
+    _check_cost(cost_coeff)
     snr = float(_snr_from_marginal_cost(cost_coeff / theta))
     return ContractPair(snr, cost_coeff * snr / theta)
 
@@ -180,8 +190,7 @@ def second_best_menu(grid: TypeGrid, cost_coeff: float) -> ContractMenu:
     the menu is projected onto the monotone cone by weighted pool-adjacent-
     violators and flagged `pooled`.
     """
-    if cost_coeff <= 0.0:
-        raise ValueError("cost coefficient must be positive")
+    _check_cost(cost_coeff)
     deltas = grid.deltas
     k = grid.k
 
@@ -227,11 +236,10 @@ def continuous_second_best_snr(
     The hazard-rate term (1-F)/f inflates the marginal cost; at the top of
     the support it vanishes and the schedule meets the first-best SNR.
     """
-    if cost_coeff <= 0.0:
-        raise ValueError("cost coefficient must be positive")
+    _check_cost(cost_coeff)
     if theta < dist.low or theta > dist.high:
         raise ValueError(f"type {theta} outside support [{dist.low}, {dist.high}]")
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise ValueError("relay type must be positive")
     density = dist.pdf(theta)
     if density <= 0.0:

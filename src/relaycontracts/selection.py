@@ -294,13 +294,12 @@ def weighted_split_selection(
 ) -> SelectionResult:
     """Split the budget by a weight profile, then solve one knapsack per subcarrier.
 
-    Unspent per-subcarrier remainders are not redistributed.  Each
-    subcarrier's knapsack gets at most the total price of its offers, in
-    whole money units, plus half a unit: above that price every offer fits,
-    so the selection is the same and the DP stays as wide as the offers.
-    A subcarrier whose usable offers (those `knapsack_01` would consider)
-    all fit its sub-budget together, including none, gets no knapsack call:
-    `_take_all` returns the DP's selection there.
+    Unspent per-subcarrier remainders are not redistributed.  Where a
+    subcarrier's usable offers (those `knapsack_01` would consider) all fit
+    its share together, including none, the split makes no knapsack call:
+    there the DP's best value at every capacity from the offers' running
+    weight up is their running float sum, so its traceback takes an offer
+    exactly when its SNR moves that sum (a 1e-17 after a 100 is left out).
     """
     offers = problem.offers
     with np.errstate(over="ignore"):  # weights that overflow are the named error below
@@ -311,44 +310,24 @@ def weighted_split_selection(
     if total <= 0.0:
         return _empty_result(offers, kind)
     resolution = problem.resolution
-    offered = offers.snr > 0.0
     units = _price_units(offers.transfer, resolution)
-    # Float sums of whole units are exact below 2**53 and stay at or above
-    # it; int64 sums of many prices near 2**53 units would wrap.
-    widest = (np.where(offered, units, 0).sum(axis=0, dtype=float) + 0.5) / resolution
-    with np.errstate(over="ignore"):  # an infinite share is capped at `widest`
-        sub_budgets = np.minimum(weights * problem.budget / total, widest)
-    caps = np.floor(sub_budgets * resolution + _UNIT_SNAP)  # knapsack_01's unit budgets
-    usable = offered & (units <= caps)
-    fits = np.where(usable, units, 0).sum(axis=0, dtype=float) <= caps
-    subsets = []
-    for n, (some, fit) in enumerate(zip(usable.any(axis=0).tolist(), fits.tolist())):
-        if not some:
-            subsets.append([])
-        elif fit:
-            relays = np.flatnonzero(usable[:, n])
-            subsets.append(_take_all(relays.tolist(), offers.snr[relays, n].tolist()))
-        else:
-            subsets.append(
-                knapsack_01(offers.snr[:, n], offers.transfer[:, n], sub_budgets[n], resolution)
-            )
+    with np.errstate(over="ignore"):  # an infinite share fits every column
+        sub_budgets = weights * problem.budget / total
+        caps = np.floor(sub_budgets * resolution + _UNIT_SNAP)  # knapsack_01's unit budgets
+        usable = (offers.snr > 0.0) & (units <= caps)
+        # Float sums of whole units are exact below 2**53 and stay at or
+        # above it; int64 sums of many prices near 2**53 units would wrap.
+        fits = np.where(usable, units, 0).sum(axis=0, dtype=float) <= caps
+        running = np.where(usable, offers.snr, 0.0).cumsum(axis=0)
+    taken = usable & fits
+    taken[1:] &= running[1:] > running[:-1]
+    subsets: list[list[int]] = [[] for _ in range(offers.n)]
+    rows, cols = np.nonzero(taken)
+    for m, n in zip(rows.tolist(), cols.tolist()):
+        subsets[n].append(m)
+    for n in np.flatnonzero(~fits).tolist():
+        subsets[n] = knapsack_01(offers.snr[:, n], offers.transfer[:, n], sub_budgets[n], resolution)
     return _result(offers, subsets, kind)
-
-
-def _take_all(relays: list[int], gammas: list[float]) -> list[int]:
-    """`knapsack_01`'s selection when all its usable offers fit the budget.
-
-    There its best value at every capacity from the offers' running weight
-    up is their running float sum, so the traceback takes offer m exactly
-    when adding its SNR moves that sum: a 1e-17 after a 100 is left out.
-    """
-    chosen = []
-    total = 0.0
-    for m, g in zip(relays, gammas):
-        if total + g > total:
-            chosen.append(m)
-        total += g
-    return chosen
 
 
 def sscpa(problem: SelectionProblem) -> SelectionResult:
@@ -542,11 +521,12 @@ def exhaustive_optimum(problem: SelectionProblem) -> SelectionResult:
 
 
 def offers_to_csv(offers: OfferMatrix) -> str:
+    """Offers wire format; `repr` floats make `offers_from_csv` read it back exactly."""
     lines = ["m,n,gamma_linear,transfer"]
     for m in range(offers.m):
         for n in range(offers.n):
             lines.append(
-                f"{m},{n},{offers.snr[m, n]:.12g},{offers.transfer[m, n]:.12g}"
+                f"{m},{n},{float(offers.snr[m, n])!r},{float(offers.transfer[m, n])!r}"
             )
     return "\n".join(lines) + "\n"
 

@@ -18,6 +18,7 @@ import numpy as np
 from .contracts import (
     ContractMenu,
     _best_response,
+    _check_cost,
     _snr_from_marginal_cost,
     first_best_contract,
     first_best_menu,
@@ -88,8 +89,7 @@ class ExperimentConfig:
             raise ValueError("trial count must be >= 1")
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
-        if not 0.0 < self.cost_coeff < math.inf:
-            raise ValueError(f"cost coefficient must be finite and positive, got {self.cost_coeff}")
+        _check_cost(self.cost_coeff)
         for m in self.relay_sweep:
             if m < 0:
                 raise ValueError("relay count must be non-negative")
@@ -281,8 +281,6 @@ class Table3Row:
 
 def reproduce_table3(cost_coeff: float = 1.0) -> list[Table3Row]:
     """First-best and second-best contract columns at the reference parameters."""
-    if cost_coeff <= 0.0:
-        raise ValueError("cost coefficient must be positive")
     dist = TypeDistribution.uniform(50.0, 300.0)
     grid = TypeGrid.from_distribution(dist, 10, 16)
     menu = second_best_menu(grid, cost_coeff)

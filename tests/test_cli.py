@@ -286,6 +286,36 @@ def test_one_parser_per_process_answers_each_call_as_a_fresh_one(tmp_path):
     assert cli.build_parser() is not cli.build_parser()
 
 
+@pytest.mark.parametrize("flag", ["--resolution=0", "--budget=-1"])
+def test_select_range_errors_name_the_select_command(tmp_path, flag):
+    offers = tmp_path / "offers.csv"
+    offers.write_text(KNAPSACK_OFFERS)
+    code, _, err = run_cli(["select", str(offers), flag])
+    assert code == 2
+    assert err.startswith("usage: relaycontracts select ")
+    assert "\nrelaycontracts select: error: argument " in err
+
+
+@pytest.mark.parametrize("command", ["table3", "contracts", "simulate"])
+@pytest.mark.parametrize("cost, message", [
+    ("nan", "cost coefficient must be finite and positive"),
+    ("inf", "cost coefficient must be finite and positive"),
+    ("1e-320", "first-best SNR overflows"),
+    ("0", "cost coefficient must be finite and positive"),
+    ("-1", "cost coefficient must be finite and positive"),
+])
+def test_out_of_range_cost_is_a_named_error(command, cost, message):
+    argv = [command, "--cost", cost]
+    if command == "simulate":
+        argv += ["--relays", "2", "--trials", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
 def _mostly(valid, *odd):
     """Four draws in five from `valid`, the rest malformed text from `odd`."""
     return st.one_of(*[valid] * 4, st.sampled_from(odd))

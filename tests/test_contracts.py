@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,8 @@ def test_relay_utility_examples(table3_menu):
         relay_utility(pair1, 0.0, 1.0)
     with pytest.raises(ValueError):
         relay_utility(pair1, -3.0, 1.0)
+    with pytest.raises(ValueError, match="relay type must be positive"):
+        relay_utility(pair1, math.nan, 1.0)
 
 
 def test_first_best_closed_form():
@@ -86,6 +89,15 @@ def test_first_best_rejects_bad_arguments():
         first_best_contract(-1.0, 1.0)
     with pytest.raises(ValueError):
         first_best_contract(50.0, 0.0)
+    with pytest.raises(ValueError, match="relay type must be positive"):
+        first_best_contract(math.nan, 1.0)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="cost coefficient must be finite and positive"):
+            first_best_contract(50.0, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="first-best SNR overflows"):
+            first_best_contract(50.0, 1e-320)
 
 
 def test_second_best_matches_printed_table(table3_grid, table3_menu):
@@ -309,6 +321,8 @@ def test_menu_validation():
         ContractMenu((ContractPair(1.0, 1.0),), grid, 1.0)  # wrong length
     with pytest.raises(ValueError):
         ContractMenu((ContractPair(1.0, 1.0), ContractPair(2.0, 2.0)), grid, 0.0)
+    with pytest.raises(ValueError, match="cost coefficient must be finite and positive"):
+        ContractMenu((ContractPair(1.0, 1.0), ContractPair(2.0, 2.0)), grid, math.nan)
     with pytest.raises(ValueError):
         ContractPair(-1.0, 0.0)
 

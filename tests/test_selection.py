@@ -451,8 +451,8 @@ def test_offers_csv_round_trip():
     rng = np.random.default_rng(91)
     offers = random_offers(rng)
     again = offers_from_csv(offers_to_csv(offers))
-    assert np.allclose(offers.snr, again.snr)
-    assert np.allclose(offers.transfer, again.transfer)
+    assert np.array_equal(offers.snr, again.snr)
+    assert np.array_equal(offers.transfer, again.transfer)
 
 
 def test_offers_csv_reports_bad_line():
@@ -831,7 +831,10 @@ def assert_spends_the_budget(problem):
     bound, mu, spend = solution
     assert bound == relaxed_upper_bound(problem)
     assert mu > 0.0
-    assert abs(spend - problem.budget) <= 1e-9 * problem.budget
+    # Relative to the budget, but never finer than the smallest normal
+    # float: below it floats are spaced 5e-324 apart, so a budget of 5e-324
+    # and a price of 2 leave no float spend within 1e-9 relative of it.
+    assert abs(spend - problem.budget) <= 1e-9 * max(problem.budget, np.finfo(float).tiny)
     return True
 
 
@@ -985,6 +988,15 @@ def test_split_takes_all_fitting_offers_as_the_dp_traces_them_back(monkeypatch):
     assert calls == []
     assert knapsack_01(np.array([100.0, 1e-17]), np.ones(2), 5.0, 1000) == [0]
     assert reference_knapsack(np.array([100.0, 1e-17]), np.ones(2), 5.0, 1000) == [0]
+    # Offer 1 costs more than the share, so its 1e300 must not enter the
+    # running sum that decides whether 100 moves it; 1e-17 after 100 does not.
+    snr, transfer = np.array([1e-17, 1e300, 100.0, 1e-17, 5.0]), np.array([1, 10, 1, 1, 1.0])
+    problem = SelectionProblem(offers_1d(snr, transfer), 5.0)
+    for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+        assert weighted_split_selection(problem, kind).subsets == ((0, 2, 4),)
+    assert calls == []
+    assert knapsack_01(snr, transfer, 5.0, 1000) == [0, 2, 4]
+    assert reference_knapsack(snr, transfer, 5.0, 1000) == [0, 2, 4]
 
 
 def test_splits_run_the_knapsack_only_where_the_usable_offers_do_not_all_fit(monkeypatch):
