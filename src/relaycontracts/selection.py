@@ -14,7 +14,7 @@ import itertools
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -114,6 +114,11 @@ class SelectionProblem:
     def __post_init__(self) -> None:
         if not 0.0 <= self.budget < math.inf:
             raise ValueError(f"budget must be finite and non-negative, got {self.budget}")
+        if self.budget < np.finfo(float).tiny:
+            # A budget below the smallest normal float is no budget: it floors
+            # to 0 money units, and spends near it are 5e-324 apart, so the
+            # relaxation could only spend it rounded, up to twice over.
+            object.__setattr__(self, "budget", 0.0)
         if not 1 <= self.resolution < _EXACT_UNITS:
             raise ValueError(f"resolution must be a unit count in [1, 2**53), got {self.resolution}")
         # Prices become whole money units in int64; at 2**53 and above the
@@ -266,8 +271,7 @@ def _price_units(transfers: np.ndarray, resolution: int) -> np.ndarray:
 def _efficiency(offers: OfferMatrix) -> np.ndarray:
     """SNR per unit transfer; zero-transfer entries count as zero efficiency."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        eff = np.where(offers.transfer > 0.0, offers.snr / offers.transfer, 0.0)
-    return eff
+        return np.where(offers.transfer > 0.0, offers.snr / offers.transfer, 0.0)
 
 
 def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
@@ -385,13 +389,7 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
         except _WeightOverflow:
             continue
     candidates.append(sscpa(problem))
-    best = max(candidates, key=lambda r: r.capacity)
-    return SelectionResult(
-        subsets=best.subsets,
-        capacity=best.capacity,
-        spend=best.spend,
-        method=SelectionMethod.OVERALL,
-    )
+    return replace(max(candidates, key=lambda r: r.capacity), method=SelectionMethod.OVERALL)
 
 
 def best_snr_baseline(problem: SelectionProblem) -> SelectionResult:

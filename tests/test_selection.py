@@ -325,6 +325,11 @@ def test_relaxed_bound_dominates_exhaustive():
 def test_relaxed_bound_zero_budget():
     problem = SelectionProblem(offers_1d([5.0], [1.0]), 0.0)
     assert relaxed_upper_bound(problem) == pytest.approx(0.0, abs=1e-9)
+    # A budget below the smallest normal float is no budget, so the sweep
+    # spends exactly 0, not a rounded share of the price 2.
+    problem = SelectionProblem(offers_1d([5.0], [2.0]), 5e-324)
+    assert problem.budget == 0.0 and relaxed_upper_bound(problem) == 0.0
+    assert assert_spends_the_budget(problem)
 
 
 def test_relaxed_bound_of_offers_too_inefficient_for_a_finite_multiplier():
@@ -831,10 +836,7 @@ def assert_spends_the_budget(problem):
     bound, mu, spend = solution
     assert bound == relaxed_upper_bound(problem)
     assert mu > 0.0
-    # Relative to the budget, but never finer than the smallest normal
-    # float: below it floats are spaced 5e-324 apart, so a budget of 5e-324
-    # and a price of 2 leave no float spend within 1e-9 relative of it.
-    assert abs(spend - problem.budget) <= 1e-9 * max(problem.budget, np.finfo(float).tiny)
+    assert abs(spend - problem.budget) <= 1e-9 * problem.budget
     return True
 
 
