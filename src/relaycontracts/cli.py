@@ -61,7 +61,7 @@ def _sweep(kind):
     """Parser of one value or a sweep: comma-separated text or a JSON list."""
 
     def sweep(value):
-        parts = [str(p) for p in value] if isinstance(value, list) else value.split(",")
+        parts = [str(p) for p in value] if isinstance(value, list) else str(value).split(",")
         values = tuple(kind(p) for p in parts if p.strip())
         if not values:
             raise ValueError("expected a value or a comma-separated sweep")

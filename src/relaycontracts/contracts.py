@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,45 +55,39 @@ class ContractPair:
     transfer: float
 
     def __post_init__(self) -> None:
-        if self.snr < 0.0 or self.transfer < 0.0:
+        if not (self.snr >= 0.0 and self.transfer >= 0.0):
             raise ValueError("contract SNR and transfer must be non-negative")
 
 
 @dataclass(frozen=True)
 class ContractMenu:
-    """K contract pairs, one per designed type of `grid`, at cost coefficient c.
+    """Read-only SNR and transfer schedules over the K types of `grid`, at cost coefficient c.
 
     Construction does not enforce monotonicity or incentive compatibility;
     `verify_menu` reports them, so deliberately broken menus can be audited.
     """
 
-    pairs: tuple[ContractPair, ...]
+    snrs: np.ndarray
+    transfers: np.ndarray
     grid: TypeGrid
     cost_coeff: float
     pooled: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.pairs) != self.grid.k:
-            raise ValueError(
-                f"menu has {len(self.pairs)} pairs for {self.grid.k} types"
-            )
+        for name in ("snrs", "transfers"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != (self.grid.k,):
+                raise ValueError(f"menu has {name} of shape {values.shape} for {self.grid.k} types")
+            if not np.all(values >= 0.0):
+                raise ValueError("contract SNR and transfer must be non-negative")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         _check_cost(self.cost_coeff)
 
-    @cached_property
-    def snrs(self) -> np.ndarray:
-        """Pair SNRs as a read-only array, built on first access."""
-        return _frozen([p.snr for p in self.pairs])
-
-    @cached_property
-    def transfers(self) -> np.ndarray:
-        """Pair transfers as a read-only array, built on first access."""
-        return _frozen([p.transfer for p in self.pairs])
-
-
-def _frozen(values: list[float]) -> np.ndarray:
-    array = np.array(values)
-    array.setflags(write=False)
-    return array
+    @property
+    def pairs(self) -> tuple[ContractPair, ...]:
+        """The menu as K `ContractPair`s, lowest type first."""
+        return tuple(map(ContractPair, self.snrs.tolist(), self.transfers.tolist()))
 
 
 @dataclass(frozen=True)
@@ -142,19 +135,24 @@ def _snr_from_marginal_cost(chat):
     return snr
 
 
-def first_best_contract(theta: float, cost_coeff: float) -> ContractPair:
-    """Complete-information contract: efficient SNR, zero relay surplus."""
-    if not theta > 0.0:
+def _first_best(types, cost_coeff: float):
+    """The one first-best pair rule: at every positive type in `types`, the
+    efficient SNR and, as its transfer, its cost c*snr/theta (zero surplus)."""
+    if not np.all(types > 0.0):
         raise ValueError("relay type must be positive")
     _check_cost(cost_coeff)
-    snr = float(_snr_from_marginal_cost(cost_coeff / theta))
-    return ContractPair(snr, cost_coeff * snr / theta)
+    snr = _snr_from_marginal_cost(cost_coeff / types)
+    return snr, cost_coeff * snr / types
+
+
+def first_best_contract(theta: float, cost_coeff: float) -> ContractPair:
+    """Complete-information contract: efficient SNR, zero relay surplus."""
+    return ContractPair(*map(float, _first_best(theta, cost_coeff)))
 
 
 def first_best_menu(grid: TypeGrid, cost_coeff: float) -> ContractMenu:
     """First-best pair at every grid type (not incentive compatible)."""
-    pairs = tuple(first_best_contract(d, cost_coeff) for d in grid.deltas)
-    return ContractMenu(pairs, grid, cost_coeff)
+    return ContractMenu(*_first_best(grid.deltas, cost_coeff), grid, cost_coeff)
 
 
 def _pava_nonincreasing(weights_num: np.ndarray, weights_den: np.ndarray):
@@ -224,8 +222,7 @@ def second_best_menu(grid: TypeGrid, cost_coeff: float) -> ContractMenu:
         transfers[1:] = cost_coeff * np.diff(gammas) / deltas[1:]
     transfers = transfers.cumsum()
 
-    pairs = tuple(ContractPair(g, t) for g, t in zip(gammas, transfers))
-    return ContractMenu(pairs, grid, cost_coeff, pooled=pooled)
+    return ContractMenu(gammas, transfers, grid, cost_coeff, pooled=pooled)
 
 
 def continuous_second_best_snr(

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+_MAX_ARRAY_BYTES = 2**28  # cap on one array sized by the caller's counts
 
 
 class DistributionKind(str, Enum):
@@ -265,6 +266,10 @@ class TypeGrid:
         k: int,
         n_subcarriers: int,
     ) -> "TypeGrid":
+        if 8 * k * n_subcarriers > _MAX_ARRAY_BYTES:
+            raise ValueError(
+                f"type grid of {k} types x {n_subcarriers} subcarriers exceeds 2**28 bytes"
+            )
         base = dist if isinstance(dist, TypeDistribution) else dist[0]
         deltas = quantize_types(base, k)
         probs = type_probabilities(dist, deltas, n_subcarriers)

@@ -14,7 +14,7 @@ import itertools
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -67,6 +67,8 @@ class OfferMatrix:
 
     snr: np.ndarray
     transfer: np.ndarray
+    # SNR per unit transfer, 0 where free: the overflow check's ratio, kept
+    efficiency: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         snr = np.ascontiguousarray(self.snr, dtype=float)
@@ -91,10 +93,9 @@ class OfferMatrix:
             raise ValueError(
                 f"offer ({m}, {n}) SNR per unit transfer overflows: {snr[m, n]:g} / {transfer[m, n]:g}"
             )
-        snr.setflags(write=False)
-        transfer.setflags(write=False)
-        object.__setattr__(self, "snr", snr)
-        object.__setattr__(self, "transfer", transfer)
+        for name, values in (("snr", snr), ("transfer", transfer), ("efficiency", ratio)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def m(self) -> int:
@@ -268,12 +269,6 @@ def _price_units(transfers: np.ndarray, resolution: int) -> np.ndarray:
     return np.maximum(np.ceil(transfers * resolution - _UNIT_SNAP).astype(np.int64), 0)
 
 
-def _efficiency(offers: OfferMatrix) -> np.ndarray:
-    """SNR per unit transfer; zero-transfer entries count as zero efficiency."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(offers.transfer > 0.0, offers.snr / offers.transfer, 0.0)
-
-
 def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
     """Per-subcarrier budget weights: equal, mean-efficiency, or net-efficiency."""
     if kind not in _SPLIT_KINDS:
@@ -283,7 +278,7 @@ def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
     if kind is SelectionMethod.ASW:
         if offers.m == 0:
             return np.zeros(offers.n)
-        return _efficiency(offers).sum(axis=0) / offers.m
+        return offers.efficiency.sum(axis=0) / offers.m
     sum_t = offers.transfer.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(sum_t > 0.0, offers.snr.sum(axis=0) / sum_t, 0.0)
@@ -345,7 +340,7 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
     good, and the first offer at the cursor that fits is the pick.
     """
     offers = problem.offers
-    order = np.argsort(-_efficiency(offers), axis=0, kind="stable")
+    order = np.argsort(-offers.efficiency, axis=0, kind="stable")
     columns = [
         [(m, t_col[m]) for m in order_col if g_col[m] > 0.0]
         for order_col, g_col, t_col in zip(
@@ -415,18 +410,14 @@ def best_snr_baseline(problem: SelectionProblem) -> SelectionResult:
 def relaxed_upper_bound(problem: SelectionProblem) -> float:
     """Upper bound on the selection optimum: the optimum of its fractional
     relaxation, max sum_n log2(1 + sum_m x*snr) over 0 <= x <= 1 and the
-    budget, exact up to rounding (no longer a dual value within 1e-6).
+    budget, exact up to rounding.
     """
     offers = problem.offers
     budget = problem.budget
     free = (offers.transfer == 0.0) & (offers.snr > 0.0)
     base_snr = np.where(free, offers.snr, 0.0).sum(axis=0)
-    base_cap = float(np.log2(1.0 + base_snr).sum())
-
-    buyable = (offers.transfer > 0.0) & (offers.snr > 0.0)
-    if not buyable.any():
-        return base_cap
     if float(offers.transfer.sum()) <= budget:
+        buyable = (offers.transfer > 0.0) & (offers.snr > 0.0)
         return float(
             np.log2(1.0 + base_snr + np.where(buyable, offers.snr, 0.0).sum(axis=0)).sum()
         )
@@ -442,9 +433,8 @@ def _breakpoint_sweep(offers: OfferMatrix, budget: float, base_snr: np.ndarray):
     (floor_j: 1 + b_n + the SNR of the offers ahead of it) to that plus
     t_j*ln2, its spend rising with slope 1/ln2: spend is piecewise linear in mu.
     """
-    eff = _efficiency(offers)
-    order = np.argsort(-eff, axis=0, kind="stable"), np.arange(offers.n)
-    eff, snr, price = eff[order], offers.snr[order], offers.transfer[order]
+    order = np.argsort(-offers.efficiency, axis=0, kind="stable"), np.arange(offers.n)
+    eff, snr, price = offers.efficiency[order], offers.snr[order], offers.transfer[order]
     ahead = np.zeros_like(snr)
     np.cumsum(snr[:-1], axis=0, out=ahead[1:])
     rows, cols = np.nonzero(price > 0.0)

@@ -19,14 +19,13 @@ from .contracts import (
     ContractMenu,
     _best_response,
     _check_cost,
-    _snr_from_marginal_cost,
-    first_best_contract,
+    _first_best,
     first_best_menu,
     information_rent,
     second_best_menu,
     snr_to_db,
 )
-from .distributions import TypeDistribution, TypeGrid, sample_type_vector
+from .distributions import _MAX_ARRAY_BYTES, TypeDistribution, TypeGrid, sample_type_vector
 from .selection import (
     OfferMatrix,
     SelectionProblem,
@@ -168,9 +167,7 @@ def accepted_offers(menu: ContractMenu, types: np.ndarray) -> OfferMatrix:
 
 def efficient_offers(types: np.ndarray, cost_coeff: float) -> OfferMatrix:
     """Zero-rent first-best pair at every relay's true type (complete information)."""
-    types = np.asarray(types, dtype=float)
-    snr = _snr_from_marginal_cost(cost_coeff / types)
-    return OfferMatrix(snr, cost_coeff * snr / types)
+    return OfferMatrix(*_first_best(np.asarray(types, dtype=float), cost_coeff))
 
 
 def broadcast_menu(config: ExperimentConfig) -> ContractMenu:
@@ -199,6 +196,16 @@ def simulate_round(
     """
     m = int(_scalar(config.relays, "relay"))
     budget = float(_scalar(config.budget, "budget"))
+    # The round's largest array: M x N offers, times K menu types in the best
+    # responses; with no relays, per-subcarrier rows still hold N values.
+    values = max(m, 1) * config.subcarriers
+    if config.information is Information.ASYMMETRIC:
+        values *= config.quant
+    if 8 * values > _MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"a round of {m} relays x {config.subcarriers} subcarriers needs an array "
+            f"of {values} values, over 2**28 bytes"
+        )
 
     types = sample_type_vector(config.dist, m * config.subcarriers, rng)
     types = types.reshape(m, config.subcarriers)
@@ -283,25 +290,17 @@ def reproduce_table3(cost_coeff: float = 1.0) -> list[Table3Row]:
     """First-best and second-best contract columns at the reference parameters."""
     dist = TypeDistribution.uniform(50.0, 300.0)
     grid = TypeGrid.from_distribution(dist, 10, 16)
-    menu = second_best_menu(grid, cost_coeff)
-    rents = information_rent(menu)
-    rows = []
-    for i, delta in enumerate(grid.deltas):
-        fb = first_best_contract(float(delta), cost_coeff)
-        sb = menu.pairs[i]
-        rows.append(
-            Table3Row(
-                k=i + 1,
-                delta=float(delta),
-                prob=float(grid.probs[i, 0]),
-                fb_snr_db=snr_to_db(fb.snr),
-                fb_transfer=fb.transfer,
-                sb_snr_db=snr_to_db(sb.snr),
-                sb_transfer=sb.transfer,
-                rent=float(rents[i]),
-            )
-        )
-    return rows
+    sb = second_best_menu(grid, cost_coeff)
+    fb = first_best_menu(grid, cost_coeff)
+    columns = zip(
+        grid.deltas.tolist(), grid.probs[:, 0].tolist(), fb.snrs.tolist(),
+        fb.transfers.tolist(), sb.snrs.tolist(), sb.transfers.tolist(),
+        information_rent(sb).tolist(),
+    )
+    return [
+        Table3Row(k, delta, prob, snr_to_db(fb_snr), fb_t, snr_to_db(sb_snr), sb_t, rent)
+        for k, (delta, prob, fb_snr, fb_t, sb_snr, sb_t, rent) in enumerate(columns, 1)
+    ]
 
 
 def table3_to_csv(rows: list[Table3Row]) -> str:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relaycontracts import TypeGrid, second_best_menu
+from relaycontracts import OfferMatrix, TypeGrid, offers_from_csv, second_best_menu
 from relaycontracts import cli
 from relaycontracts.cli import main
 
@@ -316,6 +316,23 @@ def test_out_of_range_cost_is_a_named_error(command, cost, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["contracts", "--quant", "1000000000"], "type grid of 1000000000 types x 16 subcarriers"),
+    (["simulate", "--relays", "1000000000", "--trials", "1"], "1000000000 relays x 16 subcarriers"),
+    (["simulate", "--subcarriers", "1000000000", "--trials", "1"], "10 types x 1000000000 subcarriers"),
+    (["simulate", "--relays", "0", "--subcarriers", "1000000000", "--information", "complete"],
+     "0 relays x 1000000000 subcarriers"),
+])
+def test_oversized_grids_and_rounds_are_refused_before_allocating(argv, size):
+    # In process: a refusal that came after allocating would fail here first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and size in err and "2**28 bytes" in err
+    assert err.count("\n") == 1
+
+
 def _mostly(valid, *odd):
     """Four draws in five from `valid`, the rest malformed text from `odd`."""
     return st.one_of(*[valid] * 4, st.sampled_from(odd))
@@ -375,6 +392,83 @@ def test_property_select_and_simulate_argv_exit_cleanly(tmp_path, argv, rows):
     assert "Traceback" not in err
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _assert_clean_exit(argv):
+    """Run `argv`: exit 0, 1 or 2, no traceback, and exit 1 ends in one `error:` line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(
+    st.text(max_size=60),
+    st.lists(st.one_of(_GOOD_ROW, _ODD_ROW, st.text(max_size=12)), max_size=8).map(
+        lambda rows: "\n".join([_HEADER, *rows])
+    ),
+))
+def test_property_offers_from_csv_returns_offers_or_a_value_error(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            offers = offers_from_csv(text)
+        except ValueError:
+            return
+    assert isinstance(offers, OfferMatrix)
+
+
+_DIST_KEYS = ["kind", "low", "high", "rate", "cdf_points"]
+_JSON_LEAF = _mostly(
+    st.integers(0, 3),
+    None, True, -1, 2.5, -1.5, 1e-320, 1e300, 10**9, 10**30, math.nan, math.inf, "", "x",
+    "2,3", "1,nan", "uniform", "empirical", "truncated_exponential", "first_best", "complete",
+)
+_JSON_VALUE = st.one_of(*[_JSON_LEAF] * 4, st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(_mostly(st.sampled_from(_DIST_KEYS), "bogus"), inner, max_size=4),
+    ),
+    max_leaves=6,
+))
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(raw=st.dictionaries(st.sampled_from([row[0] for row in cli._CONFIG]), _JSON_VALUE, max_size=4))
+def test_property_config_file_exits_cleanly(tmp_path, raw):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    # --trials 1 overrides the file: the default 1000 trials per cell take seconds.
+    _assert_clean_exit(["simulate", "--config", str(config), "--trials", "1"])
+
+
+_CONTRACTS_FLAGS = {**_SIMULATE_FLAGS, "--quant": _mostly(_SMALL_INT, "1000", "1000000000")}
+
+
+@st.composite
+def contracts_argv(draw):
+    """A `contracts` command line, mostly of small valid values."""
+    argv = ["contracts"]
+    for flag in draw(st.lists(st.sampled_from(sorted(_CONTRACTS_FLAGS)), max_size=4)):
+        argv += [flag, draw(_CONTRACTS_FLAGS[flag])]
+    stray = draw(_mostly(st.none(), "--bogus", "-", "x"))
+    if stray is not None:
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(argv=contracts_argv())
+def test_property_contracts_argv_exits_cleanly(argv):
+    _assert_clean_exit(argv)
 
 
 def test_select_malformed_csv_names_line(tmp_path, capsys):

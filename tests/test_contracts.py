@@ -171,7 +171,7 @@ def test_verify_menu_fails_on_first_best(table3_grid):
 
 def test_verify_menu_flags_decreasing_snr():
     grid = TypeGrid(np.array([1.0, 2.0]), np.full((2, 1), 0.5))
-    menu = ContractMenu((ContractPair(2.0, 1.0), ContractPair(1.0, 1.0)), grid, 1.0)
+    menu = ContractMenu([2.0, 1.0], [1.0, 1.0], grid, 1.0)
     assert not verify_menu(menu).monotone
 
 
@@ -318,13 +318,25 @@ def test_continuous_snr_rejects_bad_points():
 def test_menu_validation():
     grid = TypeGrid(np.array([1.0, 2.0]), np.full((2, 1), 0.5))
     with pytest.raises(ValueError):
-        ContractMenu((ContractPair(1.0, 1.0),), grid, 1.0)  # wrong length
+        ContractMenu([1.0], [1.0], grid, 1.0)  # wrong length
     with pytest.raises(ValueError):
-        ContractMenu((ContractPair(1.0, 1.0), ContractPair(2.0, 2.0)), grid, 0.0)
+        ContractMenu([1.0, 2.0], [1.0, 2.0], grid, 0.0)
     with pytest.raises(ValueError, match="cost coefficient must be finite and positive"):
-        ContractMenu((ContractPair(1.0, 1.0), ContractPair(2.0, 2.0)), grid, math.nan)
+        ContractMenu([1.0, 2.0], [1.0, 2.0], grid, math.nan)
     with pytest.raises(ValueError):
         ContractPair(-1.0, 0.0)
+
+
+def test_pairs_and_menus_refuse_nan_negative_and_misshapen_values():
+    grid = TypeGrid(np.array([1.0, 2.0]), np.full((2, 1), 0.5))
+    for snr, transfer in ((math.nan, 1.0), (1.0, math.nan), (-1.0, 0.0), (0.0, -1.0)):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            ContractPair(snr, transfer)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            ContractMenu([1.0, snr], [1.0, transfer], grid, 1.0)
+    for snrs in ([[1.0, 2.0]], [1.0, 2.0, 3.0], 1.0):
+        with pytest.raises(ValueError, match="menu has snrs of shape"):
+            ContractMenu(snrs, [1.0, 2.0], grid, 1.0)
 
 
 def test_menu_arrays_are_built_once_and_read_only(table3_menu):

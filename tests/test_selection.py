@@ -330,6 +330,11 @@ def test_relaxed_bound_zero_budget():
     problem = SelectionProblem(offers_1d([5.0], [2.0]), 5e-324)
     assert problem.budget == 0.0 and relaxed_upper_bound(problem) == 0.0
     assert assert_spends_the_budget(problem)
+    # Free offers only: the bound is their SNR, whatever the budget.
+    snr = np.array([[3.0, 0.0, 0.1], [2.0, 7.0, 0.2]])
+    problem = SelectionProblem(OfferMatrix(snr, np.zeros_like(snr)), 0.0)
+    expected = np.log2(1.0 + snr.sum(axis=0)).sum()
+    assert float.hex(relaxed_upper_bound(problem)) == float.hex(float(expected))
 
 
 def test_relaxed_bound_of_offers_too_inefficient_for_a_finite_multiplier():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,8 +86,8 @@ def test_efficient_offers_extract_all_surplus():
 
 def test_accepted_offers_agree_with_select_best_contract(table3_menu):
     ties = ContractMenu(
-        (ContractPair(0.0, 0.0), ContractPair(2.0, 1.0), ContractPair(2.0, 1.0),
-         ContractPair(6.0, 2.0)),
+        [0.0, 2.0, 2.0, 6.0],
+        [0.0, 1.0, 1.0, 2.0],
         TypeGrid(np.array([1.0, 2.0, 3.0, 4.0]), np.full((4, 1), 0.25)),
         1.0,
     )
@@ -116,7 +117,7 @@ def test_accepted_offers_reject_non_positive_types(table3_menu):
             accepted_offers(table3_menu, types)
 
 
-def test_efficient_offers_match_first_best_contract_bitwise():
+def test_efficient_offers_match_first_best_contract_bitwise(table3_grid):
     types = np.random.default_rng(11).uniform(0.5, 400.0, (6, 16))
     types[0, :3] = (1.0, 2.0 * math.log(2.0), 50.0)
     for cost in (1.0, 2.5):
@@ -124,6 +125,21 @@ def test_efficient_offers_match_first_best_contract_bitwise():
         for (m, n), theta in np.ndenumerate(types):
             pair = first_best_contract(float(theta), cost)
             assert (offers.snr[m, n], offers.transfer[m, n]) == (pair.snr, pair.transfer)
+        menu = first_best_menu(table3_grid, cost)
+        for delta, snr, transfer in zip(table3_grid.deltas, menu.snrs, menu.transfers):
+            pair = first_best_contract(float(delta), cost)
+            assert (snr, transfer) == (pair.snr, pair.transfer)
+
+
+def test_efficient_offers_name_bad_costs_and_types():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cost in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="cost coefficient must be finite and positive"):
+                efficient_offers([[100.0, 200.0]], cost)
+        for bad in (0.0, -5.0, math.nan):
+            with pytest.raises(ValueError, match="relay type must be positive"):
+                efficient_offers([[100.0, bad]], 1.0)
 
 
 def test_round_result_guards_bound_violation():
