@@ -135,13 +135,28 @@ def _snr_from_marginal_cost(chat):
     return snr
 
 
-def _first_best(types, cost_coeff: float):
-    """The one first-best pair rule: at every positive type in `types`, the
-    efficient SNR and, as its transfer, its cost c*snr/theta (zero surplus)."""
+def _marginal_costs(types, cost_coeff: float) -> np.ndarray:
+    """c/theta at every type in `types`.  Each type must be positive, and
+    one so small that c/theta overflows is refused by name."""
+    types = np.asarray(types, dtype=float)
     if not np.all(types > 0.0):
         raise ValueError("relay type must be positive")
     _check_cost(cost_coeff)
-    snr = _snr_from_marginal_cost(cost_coeff / types)
+    with np.errstate(over="ignore"):
+        costs = cost_coeff / types
+    if not np.all(costs < math.inf):
+        raise ValueError(_too_small(types.min(), cost_coeff, "c/theta"))
+    return costs
+
+
+def _too_small(theta: float, cost_coeff: float, what: str) -> str:
+    return f"relay type {theta:g} is too small for cost coefficient {cost_coeff:g}: its {what} overflows"
+
+
+def _first_best(types, cost_coeff: float):
+    """The one first-best pair rule: at every positive type in `types`, the
+    efficient SNR and, as its transfer, its cost c*snr/theta (zero surplus)."""
+    snr = _snr_from_marginal_cost(_marginal_costs(types, cost_coeff))
     return snr, cost_coeff * snr / types
 
 
@@ -188,9 +203,9 @@ def second_best_menu(grid: TypeGrid, cost_coeff: float) -> ContractMenu:
     the menu is projected onto the monotone cone by weighted pool-adjacent-
     violators and flagged `pooled`.
     """
-    _check_cost(cost_coeff)
     deltas = grid.deltas
     k = grid.k
+    costs = _marginal_costs(deltas, cost_coeff)
 
     own_mass = grid.probs.sum(axis=1)
     tail_mass = own_mass[::-1].cumsum()[::-1]  # mass at type k or above, all subcarriers
@@ -203,14 +218,18 @@ def second_best_menu(grid: TypeGrid, cost_coeff: float) -> ContractMenu:
     # W_k = c * (tail_k/delta_k - tail_{k+1}/delta_{k+1}), with empty tail above K.
     tail_next = np.append(tail_mass[1:], 0.0)
     delta_next = np.append(deltas[1:], deltas[-1])
-    virtual_w = cost_coeff * (tail_mass / deltas - tail_next / delta_next)
+    with np.errstate(over="ignore", invalid="ignore"):
+        virtual_w = cost_coeff * (tail_mass / deltas - tail_next / delta_next)
+    if not np.all(np.isfinite(virtual_w)):
+        theta = deltas[np.argmin(np.isfinite(virtual_w))]
+        raise ValueError(_too_small(theta, cost_coeff, "virtual marginal cost"))
 
     # The top live type never pools (its ratio c/delta is a strict minimum),
     # so project only the rows below it and append the efficient top.
     ratios, lengths = _pava_nonincreasing(
         virtual_w[: n_live - 1], own_mass[: n_live - 1]
     )
-    chat = np.append(np.repeat(ratios, lengths), cost_coeff / deltas[n_live - 1])
+    chat = np.append(np.repeat(ratios, lengths), costs[n_live - 1])
     gammas = np.empty(k)
     gammas[:n_live] = _snr_from_marginal_cost(chat)
     gammas[n_live:] = gammas[n_live - 1]

@@ -69,6 +69,8 @@ class OfferMatrix:
     transfer: np.ndarray
     # SNR per unit transfer, 0 where free: the overflow check's ratio, kept
     efficiency: np.ndarray = field(init=False, repr=False, compare=False)
+    # Each subcarrier's relays by descending efficiency, ties to the lowest index
+    efficiency_order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         snr = np.ascontiguousarray(self.snr, dtype=float)
@@ -93,7 +95,10 @@ class OfferMatrix:
             raise ValueError(
                 f"offer ({m}, {n}) SNR per unit transfer overflows: {snr[m, n]:g} / {transfer[m, n]:g}"
             )
-        for name, values in (("snr", snr), ("transfer", transfer), ("efficiency", ratio)):
+        order = np.argsort(-ratio, axis=0, kind="stable")
+        for name, values in (
+            ("snr", snr), ("transfer", transfer), ("efficiency", ratio), ("efficiency_order", order)
+        ):
             values.setflags(write=False)
             object.__setattr__(self, name, values)
 
@@ -334,13 +339,13 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
     the most efficient unallocated offer that fits the remaining budget
     (ties to the lowest relay index); stops once a full pass allocates nothing.
 
-    Each subcarrier's offers are sorted by efficiency once, and a cursor
-    walks that list.  The remaining budget never grows, so an offer that
-    does not fit on one visit never fits later: the cursor passes it for
-    good, and the first offer at the cursor that fits is the pick.
+    A cursor walks each subcarrier's offers in `efficiency_order`.  The
+    remaining budget never grows, so an offer that does not fit on one visit
+    never fits later: the cursor passes it for good, and the first offer at
+    the cursor that fits is the pick.
     """
     offers = problem.offers
-    order = np.argsort(-offers.efficiency, axis=0, kind="stable")
+    order = offers.efficiency_order
     columns = [
         [(m, t_col[m]) for m in order_col if g_col[m] > 0.0]
         for order_col, g_col, t_col in zip(
@@ -367,23 +372,66 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
     return _result(offers, subsets, SelectionMethod.SSCPA)
 
 
+def _split_bounds(problem: SelectionProblem) -> np.ndarray:
+    """Upper bounds on the ESW, ASW and NSW splits' capacities, in that order.
+
+    Each is the sum over subcarriers of log2(1 + the split's fractional
+    knapsack optimum there).  A subset the split takes on subcarrier n has
+    price units summing to at most its cap, and an offer's units are at
+    least t*resolution - _UNIT_SNAP, so with weights t*resolution the subset
+    fits room cap + M*_UNIT_SNAP.  The fractional optimum fills that room in
+    efficiency order, the break offer in part; free offers count whole.
+    The margins absorb rounding.  A split whose weights sum to zero has caps
+    of NaN here and a bound near 0; one whose weights overflow gets inf, so
+    it still runs and drops out.
+    """
+    offers, resolution = problem.offers, problem.resolution
+    with np.errstate(over="ignore", invalid="ignore"):
+        profiles = [weight_profile(offers, kind) for kind in _SPLIT_KINDS]
+        totals = np.array([weights.sum() for weights in profiles])
+        # The split's own float operations, so its caps exactly.
+        caps = np.floor(np.stack(profiles) * problem.budget / totals[:, None] * resolution + _UNIT_SNAP)
+    order = offers.efficiency_order, np.arange(offers.n)
+    snr, priced = offers.snr[order], offers.transfer[order] * resolution
+    # The split's usable offers: their units, ceil(priced - snap), fit the cap.
+    usable = (snr > 0.0) & (priced - _UNIT_SNAP <= caps[:, None, :])
+    weight = np.where(usable, priced, 0.0)
+    ahead = np.zeros_like(weight)
+    np.cumsum(weight[:, :-1], axis=1, out=ahead[:, 1:])
+    room = caps[:, None, :] + offers.m * _UNIT_SNAP
+    bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
+    with np.errstate(over="ignore"):  # an infinite share fits every offer
+        np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
+    np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
+    bounds = np.log2(1.0 + (bought * snr).sum(axis=1)).sum(axis=1) * (1.0 + 1e-9) + 1e-9
+    return np.where(totals < math.inf, bounds, math.inf)
+
+
 def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     """Best of the ESW/ASW/NSW splits and SSCPA; ties keep the earlier method.
 
-    An ASW or NSW split whose budget weights overflow drops out; ESW's
-    weights are ones, so ESW and SSCPA always compete.  The selection is
-    feasible, so its capacity never exceeds `exhaustive_optimum`. It does
-    not dominate `best_snr_baseline` on every instance: each candidate
-    commits money per subcarrier, and the greedy's global packing can win.
-    The ordering holds on average only.
+    SSCPA runs first.  A split whose `_split_bounds` bound is below the best
+    capacity found so far cannot win, so it does not run; a split that may
+    tie still runs and, being earlier, keeps the tie.  An ASW or NSW split
+    whose budget weights overflow drops out; ESW's weights are ones, so ESW
+    and SSCPA always compete.  The selection is feasible, so its capacity
+    never exceeds `exhaustive_optimum`. It does not dominate
+    `best_snr_baseline` on every instance: each candidate commits money per
+    subcarrier, and the greedy's global packing can win.  The ordering
+    holds on average only.
     """
+    sequential = sscpa(problem)
+    best = sequential.capacity
     candidates = []
-    for kind in _SPLIT_KINDS:
+    for kind, bound in zip(_SPLIT_KINDS, _split_bounds(problem).tolist()):
+        if bound < best:
+            continue
         try:
             candidates.append(weighted_split_selection(problem, kind))
         except _WeightOverflow:
             continue
-    candidates.append(sscpa(problem))
+        best = max(best, candidates[-1].capacity)
+    candidates.append(sequential)
     return replace(max(candidates, key=lambda r: r.capacity), method=SelectionMethod.OVERALL)
 
 
@@ -433,7 +481,7 @@ def _breakpoint_sweep(offers: OfferMatrix, budget: float, base_snr: np.ndarray):
     (floor_j: 1 + b_n + the SNR of the offers ahead of it) to that plus
     t_j*ln2, its spend rising with slope 1/ln2: spend is piecewise linear in mu.
     """
-    order = np.argsort(-offers.efficiency, axis=0, kind="stable"), np.arange(offers.n)
+    order = offers.efficiency_order, np.arange(offers.n)
     eff, snr, price = offers.efficiency[order], offers.snr[order], offers.transfer[order]
     ahead = np.zeros_like(snr)
     np.cumsum(snr[:-1], axis=0, out=ahead[1:])

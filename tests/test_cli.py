@@ -570,6 +570,23 @@ def test_config_bad_values_are_named_errors(tmp_path, capsys, raw, key):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("information", ["asymmetric", "complete"])
+def test_types_too_small_for_the_cost_are_named_errors(tmp_path, information):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dist": {"kind": "uniform", "low": 1e-320, "high": 1e-319},
+        "relays": 2, "subcarriers": 2, "quant": 2,
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["simulate", "--config", str(config), "--trials", "1", "--information", information]
+        )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: relay type ") and "is too small for cost coefficient 1" in err
+    assert err.count("\n") == 1
+
+
 def test_config_sweeps_accept_json_lists(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -100,6 +100,25 @@ def test_first_best_rejects_bad_arguments():
             first_best_contract(50.0, 1e-320)
 
 
+def test_types_whose_marginal_cost_overflows_are_named_errors():
+    # c/theta = 1e310 overflows: the type is at fault, not the cost.
+    grid = TypeGrid(np.array([1e-310, 5e-310]), np.full((2, 2), 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (
+            lambda: first_best_contract(1e-310, 1.0),
+            lambda: first_best_menu(grid, 1.0),
+            lambda: second_best_menu(grid, 1.0),
+        ):
+            with pytest.raises(ValueError, match="relay type 1e-310 is too small for cost coefficient 1: its c/theta"):
+                build()
+        # c/theta = 1e308 is finite, but the hazard weight 2/theta is not.
+        band = TypeGrid(np.array([1e-308, 2e-308]), np.full((2, 2), 0.5))
+        assert first_best_menu(band, 1.0).snrs.tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="relay type 1e-308 is too small .* virtual marginal cost"):
+            second_best_menu(band, 1.0)
+
+
 def test_second_best_matches_printed_table(table3_grid, table3_menu):
     for i, pair in enumerate(table3_menu.pairs):
         assert snr_to_db(pair.snr) == pytest.approx(TABLE3_SB_DB[i], abs=1e-3)

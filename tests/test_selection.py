@@ -804,10 +804,12 @@ def test_selection_methods_match_reference_implementations():
         problem = SelectionProblem(offers, float(transfer.sum() * share), resolution)
 
         candidates = []
-        for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+        bounds = selection_module._split_bounds(problem)
+        for kind, bound in zip((SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW), bounds):
             subsets = reference_split(problem, kind)
             assert_same_totals(weighted_split_selection(problem, kind), offers, subsets)
             candidates.append((reference_totals(offers, subsets)[0], subsets))
+            assert bound >= candidates[-1][0]
         subsets = reference_sscpa(problem)
         assert_same_totals(sscpa(problem), offers, subsets)
         candidates.append((reference_totals(offers, subsets)[0], subsets))
@@ -1038,6 +1040,84 @@ def test_splits_run_the_knapsack_only_where_the_usable_offers_do_not_all_fit(mon
     assert all(reach > units for _, reach, units in calls)
 
 
+def assert_bounds_dominate_splits(problem):
+    """Each split's `_split_bounds` entry is at least its capacity; a split
+    whose weights overflow has bound inf."""
+    bounds = selection_module._split_bounds(problem)
+    for kind, bound in zip((SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW), bounds):
+        try:
+            assert bound >= weighted_split_selection(problem, kind).capacity
+        except ValueError as exc:
+            assert "budget weights overflow" in str(exc) and bound == math.inf
+
+
+def test_split_bounds_dominate_the_splits_on_edge_cases():
+    rng = np.random.default_rng(1212)
+    for _ in range(300):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        columns = [edge_case_column(rng, m) for _ in range(n)]
+        snr, transfer = (np.column_stack(parts) for parts in zip(*columns))
+        budget = [0.0, float(transfer.sum() * rng.uniform(0.0, 1.2)), float(rng.uniform(0.0, 3.0))]
+        for b in budget:
+            assert_bounds_dominate_splits(SelectionProblem(OfferMatrix(snr, transfer), b, int(rng.choice([1, 7, 1000]))))
+    # Free offers only: every split takes them all, and so may the bound.
+    free = SelectionProblem(OfferMatrix(np.array([[3.0, 1e-17], [2.0, 0.0]]), np.zeros((2, 2))), 0.0)
+    assert_bounds_dominate_splits(free)
+    assert selection_module._split_bounds(free)[0] >= math.log2(6.0)
+    # Twenty offers of 9.9e-10 money cost 0 units each, so the split takes
+    # them with the 1-unit offer; their prices overhang its cap by 2e-8.
+    snr, transfer = np.full((21, 1), 1e-6), np.full((21, 1), 9.9e-10)
+    snr[20], transfer[20] = 100.0, 1.0
+    overhang = SelectionProblem(OfferMatrix(snr, transfer), 1.0, 1)
+    assert weighted_split_selection(overhang, SelectionMethod.ESW).subsets == (tuple(range(21)),)
+    assert_bounds_dominate_splits(overhang)
+    # An ASW weight of 5e9 times a budget of 1e300 is an infinite share.
+    huge_share = SelectionProblem(
+        OfferMatrix(np.array([[1e3, 5.0], [2.0, 0.0]]), np.array([[1e-7, 1.0], [1.0, 0.0]])), 1e300
+    )
+    with np.errstate(over="ignore"):
+        assert np.isinf(weight_profile(huge_share.offers, SelectionMethod.ASW) * 1e300).any()
+    assert_bounds_dominate_splits(huge_share)
+    assert np.isfinite(selection_module._split_bounds(huge_share)).all()
+    # ASW and NSW weights that overflow: those splits keep bound inf.
+    overflow = SelectionProblem(OfferMatrix(np.array([[1e300, 1e300]]), np.array([[1e-8, 1e-8]])), 1.0)
+    bounds = selection_module._split_bounds(overflow)
+    assert np.isfinite(bounds[0]) and bounds[1] == bounds[2] == math.inf
+    assert_bounds_dominate_splits(overflow)
+
+
+def test_overall_skips_the_splits_that_cannot_beat_sscpa(monkeypatch):
+    # SSCPA spends all 2.0 on subcarrier 0 (capacity log2(201)); every
+    # split leaves a share on subcarrier 1, so none can reach it.
+    calls = counting_knapsack(monkeypatch)
+    problem = SelectionProblem(
+        OfferMatrix(np.array([[100.0, 1.0], [100.0, 0.0]]), np.array([[1.0, 1.5], [1.0, 0.0]])), 2.0
+    )
+    best = sscpa(problem)
+    assert best.subsets == ((0, 1), ()) and best.capacity == math.log2(201.0)
+    assert (selection_module._split_bounds(problem) < best.capacity).all()
+    result = overall_heuristic(problem)
+    assert calls == []
+    assert (result.subsets, result.capacity) == (best.subsets, best.capacity)
+    for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+        assert weighted_split_selection(problem, kind).capacity < best.capacity
+    assert len(calls) == 3
+
+
+def test_overall_runs_a_split_that_ties_sscpa_and_keeps_its_subsets(monkeypatch):
+    # Relay 1 is twice as efficient, so SSCPA takes it; the DP first meets
+    # relay 0 and keeps it, as relay 1 adds no SNR.  Both reach log2(11).
+    calls = counting_knapsack(monkeypatch)
+    problem = SelectionProblem(offers_1d([10.0, 10.0], [1.0, 0.5]), 1.0)
+    assert sscpa(problem).subsets == ((1,),)
+    esw = weighted_split_selection(problem, SelectionMethod.ESW)
+    assert esw.subsets == ((0,),) and esw.capacity == sscpa(problem).capacity
+    calls.clear()
+    result = overall_heuristic(problem)
+    assert len(calls) == 3
+    assert (result.subsets, result.spend, result.method) == (((0,),), 1.0, SelectionMethod.OVERALL)
+
+
 def test_knapsack_refuses_a_table_above_the_memory_cap():
     with pytest.raises(ValueError, match="1 usable offers x 20000001 money units"):
         knapsack_01(np.array([5.0, 1.0]), np.array([1.0, 3e7]), 2.0, 10**7)
@@ -1146,5 +1226,6 @@ def test_property_selection_matches_reference_copies(problem):
         assert_same_totals(weighted_split_selection(problem, kind), offers, reference_split(problem, kind))
     assert_same_totals(sscpa(problem), offers, reference_sscpa(problem))
     assert_same_totals(best_snr_baseline(problem), offers, reference_best_snr(problem))
+    assert_bounds_dominate_splits(problem)
     assert_within_bisection(problem)
     assert_spends_the_budget(problem)

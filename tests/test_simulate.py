@@ -140,6 +140,9 @@ def test_efficient_offers_name_bad_costs_and_types():
         for bad in (0.0, -5.0, math.nan):
             with pytest.raises(ValueError, match="relay type must be positive"):
                 efficient_offers([[100.0, bad]], 1.0)
+        # 1e-320 is subnormal: its nearest float prints as 9.99989e-321.
+        with pytest.raises(ValueError, match="relay type 9.99989e-321 is too small .* c/theta overflows"):
+            efficient_offers([[1e-320]], 1.0)
 
 
 def test_round_result_guards_bound_violation():
