@@ -8,12 +8,9 @@ and contrasts it with the complete-information benchmark.
 Run:  python3 demos/build_contract_menus.py
 """
 
-import numpy as np
-
 from relaycontracts import (
     TypeDistribution,
     TypeGrid,
-    continuous_schedule,
     first_best_contract,
     first_best_menu,
     information_rent,
@@ -76,13 +73,3 @@ fb_audit = verify_menu(fb_menu)
 print("\nfirst-best menu incentive compatible?", bool(fb_audit.ic_matrix.all()))
 picks = {select_best_contract(fb_menu, float(t)) for t in grid.deltas}
 print("contracts actually chosen from it:", sorted(p + 1 for p in picks))
-
-# ----------------------------------------------------------------------
-# 5. The discrete menu tracks the continuous screening schedule.
-# ----------------------------------------------------------------------
-thetas, snrs, monotone = continuous_schedule(dist, 1.0, num=200)
-idx = np.searchsorted(thetas, grid.deltas[:-1])
-print("\ncontinuous schedule monotone?", monotone)
-print("continuous snr at a few grid types:", np.round(snrs[idx][:4], 2))
-print("menu snr at the same types:      ",
-      np.round([p.snr for p in menu.pairs[:-1]], 2)[:4])

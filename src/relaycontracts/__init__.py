@@ -4,8 +4,6 @@ from .contracts import (
     ContractMenu,
     ContractPair,
     MenuAudit,
-    continuous_schedule,
-    continuous_second_best_snr,
     first_best_contract,
     first_best_menu,
     information_rent,

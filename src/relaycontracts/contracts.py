@@ -11,12 +11,11 @@ distorts SNR downward below the top type and concedes information rent
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import TypeDistribution, TypeGrid
+from .distributions import TypeGrid
 
 __all__ = [
     "ContractPair",
@@ -26,8 +25,6 @@ __all__ = [
     "first_best_contract",
     "first_best_menu",
     "second_best_menu",
-    "continuous_second_best_snr",
-    "continuous_schedule",
     "select_best_contract",
     "verify_menu",
     "information_rent",
@@ -242,50 +239,6 @@ def second_best_menu(grid: TypeGrid, cost_coeff: float) -> ContractMenu:
     transfers = transfers.cumsum()
 
     return ContractMenu(gammas, transfers, grid, cost_coeff, pooled=pooled)
-
-
-def continuous_second_best_snr(
-    theta: float, dist: TypeDistribution, cost_coeff: float
-) -> float:
-    """Pointwise maximizer of the continuous screening objective at theta.
-
-    The hazard-rate term (1-F)/f inflates the marginal cost; at the top of
-    the support it vanishes and the schedule meets the first-best SNR.
-    """
-    _check_cost(cost_coeff)
-    if theta < dist.low or theta > dist.high:
-        raise ValueError(f"type {theta} outside support [{dist.low}, {dist.high}]")
-    if not theta > 0.0:
-        raise ValueError("relay type must be positive")
-    density = dist.pdf(theta)
-    if density <= 0.0:
-        raise ValueError(f"type density vanishes at {theta}")
-    hazard = (1.0 - dist.cdf(theta)) / density
-    chat = cost_coeff / theta + cost_coeff * hazard / theta**2
-    return float(_snr_from_marginal_cost(chat))
-
-
-def continuous_schedule(
-    dist: TypeDistribution, cost_coeff: float, num: int = 1000
-):
-    """Sample the continuous schedule on a grid and check monotonicity.
-
-    Returns (thetas, snrs, monotone).  A non-monotone schedule would need
-    the ironing construction, which this library does not provide; a
-    warning flags the condition for the caller.
-    """
-    thetas = np.linspace(dist.low, dist.high, num)
-    snrs = np.array(
-        [continuous_second_best_snr(t, dist, cost_coeff) for t in thetas]
-    )
-    monotone = bool(np.all(np.diff(snrs) >= -1e-12))
-    if not monotone:
-        warnings.warn(
-            "continuous schedule is not monotone on the sampled grid; "
-            "pointwise maximization is not the optimal schedule here",
-            stacklevel=2,
-        )
-    return thetas, snrs, monotone
 
 
 def select_best_contract(menu: ContractMenu, theta: float) -> int | None:

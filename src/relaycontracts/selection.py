@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -45,6 +46,8 @@ _MAX_DP_BYTES = 2**28  # knapsack memory cap: bool table plus two float rows
 _MAX_OFFER_BYTES = 2**28  # offers CSV cap: the SNR and transfer arrays together
 _CSV_HUGE_INDEX = 2**30  # offers CSV indices from here on exceed the cap
 _CSV_CHUNK = 1 << 16  # characters of offers CSV split into lines at a time
+_CSV_HEADER = "m,n,gamma_linear,transfer"
+_CSV_PLAIN_BYTES = b"0123456789.eE+-,\n"  # the bytes of a plain offers chunk
 _LN2 = math.log(2.0)
 
 
@@ -567,17 +570,59 @@ def offers_to_csv(offers: OfferMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _nonblank_lines(text: str):
-    """(number, line) of each non-blank line as `text.splitlines()` numbers
-    them, split a chunk at a time; a cut after a newline is a line boundary."""
-    lineno = begin = 0
+def _chunks(text: str, begin: int = 0):
+    """Pieces of `text` from `begin` of about _CSV_CHUNK characters, each cut
+    after a newline and so at a line boundary of `text.splitlines()`."""
     while begin < len(text):
         cut = text.find("\n", begin + _CSV_CHUNK) + 1 or len(text)
-        for line in text[begin:cut].splitlines():
+        yield text[begin:cut]
+        begin = cut
+
+
+def _nonblank_lines(text: str):
+    """(number, line) of each non-blank line as `text.splitlines()` numbers them."""
+    lineno = 0
+    for chunk in _chunks(text):
+        for line in chunk.splitlines():
             lineno += 1
             if line.strip():
                 yield lineno, line
-        begin = cut
+
+
+def _plain_columns(chunk: str) -> np.ndarray | None:
+    """The (4, lines) m, n, gamma, transfer columns of a chunk of plain offer
+    lines, or None if the chunk is not plain.
+
+    Plain lines are ASCII and end in LF.  Each has three commas and no empty
+    field; its indices are 1-9 digits and its values use `0-9 . e E + -`
+    only.  numpy's strtod reads such fields as the line loop's int and float
+    do, and it must read the whole chunk.
+    """
+    if not chunk.isascii():
+        return None
+    body = chunk.encode("ascii")
+    if not body.endswith(b"\n") or body.translate(None, _CSV_PLAIN_BYTES):
+        return None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    is_sep = (raw == 44) | (raw == 10)  # ',' and LF
+    seps = np.flatnonzero(is_sep)
+    if seps.size % 4 or not np.all(raw[seps].reshape(-1, 4) == (44, 44, 44, 10)):
+        return None
+    widths = np.diff(seps, prepend=-1).reshape(-1, 4) - 1
+    if widths.min() < 1 or widths[:, :2].max() > 9:
+        return None
+    marks = np.flatnonzero(~is_sep & ((raw < 48) | (raw > 57)))  # . e E + -
+    if np.any(np.searchsorted(seps, marks) % 4 < 2):  # in an index field
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a partial read may only warn
+            values = np.fromstring(body.replace(b"\n", b","), sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if values.size != seps.size:
+        return None
+    return values.reshape(-1, 4).T
 
 
 def _cells(ms: array, ns: array) -> tuple[int, np.ndarray]:
@@ -608,34 +653,58 @@ def _repeat_error(text: str, n_span: int, cells: np.ndarray) -> ValueError | Non
 def offers_from_csv(text: str) -> OfferMatrix:
     """Parse the offers wire format; raises ValueError naming the bad line.
 
-    Entries go into flat arrays.  A stable sort of their cells finds a
-    repeated offer, and one scatter fills each matrix.  Errors come in line
-    order, and the size cap is checked last, before allocating.
+    After an exact header line, each chunk of plain lines (`_plain_columns`)
+    is read as arrays; a line loop reads every other chunk and raises every
+    parse error.  Entries go into flat arrays.  A stable sort of their cells
+    finds a repeated offer, and one scatter fills each matrix.  Errors come
+    in line order, and the size cap is checked last, before allocating.
     """
-    lines = _nonblank_lines(text)
-    if next(lines, (0, ""))[1].strip() != "m,n,gamma_linear,transfer":
-        raise ValueError("line 1: expected header 'm,n,gamma_linear,transfer'")
     ms, ns, gs, ts = array("q"), array("q"), array("d"), array("d")
     m_max = n_max = 0
+    header = text.startswith(_CSV_HEADER + "\n")
+    lineno = 1 if header else 0
+    no_header = ValueError(f"line 1: expected header '{_CSV_HEADER}'")
     try:
-        for lineno, line in lines:
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: expected 4 comma-separated fields")
-            try:
-                m, n = int(parts[0]), int(parts[1])
-                g, t = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if m < 0 or n < 0:
-                raise ValueError(f"line {lineno}: negative relay or subcarrier index")
-            m_max, n_max = max(m_max, m + 1), max(n_max, n + 1)
-            # An index the size cap rejects anyway is stored as a stand-in no
-            # other entry shares, which keeps the cells within int64.
-            ms.append(m if m < _CSV_HUGE_INDEX else _CSV_HUGE_INDEX + len(ms))
-            ns.append(n if n < _CSV_HUGE_INDEX else _CSV_HUGE_INDEX + len(ns))
-            gs.append(g)
-            ts.append(t)
+        for chunk in _chunks(text, len(_CSV_HEADER) + 1 if header else 0):
+            columns = _plain_columns(chunk) if header else None
+            if columns is not None:
+                index = columns[:2].astype(np.int64)
+                m_max = max(m_max, int(index[0].max()) + 1)
+                n_max = max(n_max, int(index[1].max()) + 1)
+                ms.frombytes(index[0].tobytes())
+                ns.frombytes(index[1].tobytes())
+                gs.frombytes(columns[2].tobytes())
+                ts.frombytes(columns[3].tobytes())
+                lineno += columns.shape[1]
+                continue
+            for line in chunk.splitlines():
+                lineno += 1
+                if not line.strip():
+                    continue
+                if not header:
+                    if line.strip() != _CSV_HEADER:
+                        raise no_header
+                    header = True
+                    continue
+                parts = line.split(",")
+                if len(parts) != 4:
+                    raise ValueError(f"line {lineno}: expected 4 comma-separated fields")
+                try:
+                    m, n = int(parts[0]), int(parts[1])
+                    g, t = float(parts[2]), float(parts[3])
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                if m < 0 or n < 0:
+                    raise ValueError(f"line {lineno}: negative relay or subcarrier index")
+                m_max, n_max = max(m_max, m + 1), max(n_max, n + 1)
+                # An index the size cap rejects anyway is stored as a stand-in no
+                # other entry shares, which keeps the cells within int64.
+                ms.append(m if m < _CSV_HUGE_INDEX else _CSV_HUGE_INDEX + len(ms))
+                ns.append(n if n < _CSV_HUGE_INDEX else _CSV_HUGE_INDEX + len(ns))
+                gs.append(g)
+                ts.append(t)
+        if not header:
+            raise no_header
     except ValueError as exc:  # unless the entries above it already repeat a cell
         raise _repeat_error(text, *_cells(ms, ns)) or exc from None
     n_span, cells = _cells(ms, ns)

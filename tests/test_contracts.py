@@ -7,10 +7,7 @@ import pytest
 from relaycontracts import (
     ContractMenu,
     ContractPair,
-    TypeDistribution,
     TypeGrid,
-    continuous_schedule,
-    continuous_second_best_snr,
     first_best_contract,
     first_best_menu,
     information_rent,
@@ -280,58 +277,6 @@ def test_zero_mass_rows_duplicate_lower_pair():
     menu = second_best_menu(grid, 1.0)
     assert menu.pairs[1] == menu.pairs[0]
     assert verify_menu(menu).all_ok
-
-
-def test_continuous_snr_at_support_edges():
-    dist = TypeDistribution.uniform(50.0, 300.0)
-    top = continuous_second_best_snr(300.0, dist, 1.0)
-    assert top == pytest.approx(300.0 / TWO_LN2 - 1.0, abs=1e-9)
-    bottom = continuous_second_best_snr(50.0, dist, 1.0)
-    assert bottom == pytest.approx(1.0 / (TWO_LN2 * 0.12) - 1.0, abs=1e-9)
-
-
-def test_continuous_snr_against_numeric_maximization():
-    # maximize U(g) - c*g/theta - (c*g/theta^2)(1-F)/f over a fine grid
-    dist = TypeDistribution.uniform(50.0, 300.0)
-    theta, c = 50.0, 1.0
-    hazard = (1.0 - dist.cdf(theta)) / dist.pdf(theta)
-    gammas = np.linspace(0.0, 400.0, 400_001)
-    objective = (
-        0.5 * np.log2(1.0 + gammas)
-        - c * gammas / theta
-        - c * gammas * hazard / theta**2
-    )
-    best = gammas[int(np.argmax(objective))]
-    step = gammas[1] - gammas[0]
-    assert abs(continuous_second_best_snr(theta, dist, c) - best) <= step + 1e-9
-
-
-def test_continuous_schedule_monotone_on_uniform():
-    dist = TypeDistribution.uniform(50.0, 300.0)
-    _, snrs, monotone = continuous_schedule(dist, 1.0, num=1000)
-    assert monotone
-    db = 10.0 * np.log10(snrs)
-    assert np.all(np.diff(db) > 0.0)
-
-
-def test_continuous_schedule_flags_non_monotone():
-    # Density drops sharply at gain 2, so the hazard term jumps and the
-    # pointwise schedule falls there; the scan must flag it (the monotone
-    # repair is out of scope for this library).
-    dist = TypeDistribution.empirical([(1.0, 0.0), (2.0, 0.9), (3.0, 1.0)])
-    with pytest.warns(UserWarning):
-        _, snrs, monotone = continuous_schedule(dist, 0.5, num=400)
-    assert not monotone
-    assert np.any(np.diff(snrs) < 0.0)
-
-
-def test_continuous_snr_rejects_bad_points():
-    dist = TypeDistribution.uniform(50.0, 300.0)
-    with pytest.raises(ValueError):
-        continuous_second_best_snr(40.0, dist, 1.0)
-    flat = TypeDistribution.empirical([(1.0, 0.0), (2.0, 1.0), (3.0, 1.0)])
-    with pytest.raises(ValueError):
-        continuous_second_best_snr(2.5, flat, 1.0)  # density vanishes there
 
 
 def test_menu_validation():

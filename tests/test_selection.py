@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -509,28 +511,36 @@ def test_offers_csv_reports_the_first_error_in_line_order():
 def test_offers_csv_parse_peak_memory_is_a_few_times_its_arrays(tmp_path):
     # A child process reads a 512 x 512 offers file (4 MiB of arrays), then
     # parses it; its peak RSS may rise by at most three times the arrays.
+    # ru_maxrss is a high-water mark that reading the file already moves, by
+    # a different amount from run to run, so it can hide the parse.  A second
+    # parse is traced: the peak of what it allocates obeys the same bound.
     path = tmp_path / "offers.csv"
     path.write_text(
         "m,n,gamma_linear,transfer\n"
         + "".join(f"{m},{n},{1 + (m + n) % 7},1\n" for m in range(512) for n in range(512))
     )
     script = (
-        "import resource, sys\n"
+        "import resource, sys, tracemalloc\n"
         "from relaycontracts import offers_from_csv\n"
         "text = open(sys.argv[1]).read()\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "offers = offers_from_csv(text)\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(before, after, offers.snr.nbytes + offers.transfer.nbytes)\n"
+        "del offers\n"
+        "tracemalloc.start()\n"
+        "offers = offers_from_csv(text)\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "print(before, after, peak, offers.snr.nbytes + offers.transfer.nbytes)\n"
     )
     src = str(Path(selection_module.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env, check=True
     ).stdout
-    before_kib, after_kib, arrays = map(int, out.split())
+    before_kib, after_kib, peak, arrays = map(int, out.split())
     assert arrays == 2 * 8 * 512 * 512
     assert (after_kib - before_kib) * 1024 <= 3 * arrays
+    assert peak <= 3 * arrays
 
 
 def test_selection_csv_layout():
@@ -1229,3 +1239,276 @@ def test_property_selection_matches_reference_copies(problem):
     assert_bounds_dominate_splits(problem)
     assert_within_bisection(problem)
     assert_spends_the_budget(problem)
+
+
+# -- frozen offers parser -----------------------------------------------------
+# Verbatim copy of the line loop that read every offers CSV before plain
+# chunks got an array parse.  The library must give tobytes()-equal
+# matrices, or raise a ValueError with the same message.
+
+_CSV_HUGE_INDEX = 2**30
+_CSV_CHUNK = 1 << 16
+_MAX_OFFER_BYTES = 2**28
+
+
+def reference_nonblank_lines(text: str):
+    """(number, line) of each non-blank line as `text.splitlines()` numbers
+    them, split a chunk at a time; a cut after a newline is a line boundary."""
+    lineno = begin = 0
+    while begin < len(text):
+        cut = text.find("\n", begin + _CSV_CHUNK) + 1 or len(text)
+        for line in text[begin:cut].splitlines():
+            lineno += 1
+            if line.strip():
+                yield lineno, line
+        begin = cut
+
+
+def reference_cells(ms: array, ns: array) -> tuple[int, np.ndarray]:
+    """Width n_span and flat index m * n_span + n of each parsed entry."""
+    n_span = int(np.frombuffer(ns, dtype=np.int64).max(initial=0)) + 1
+    cells = np.frombuffer(ms, dtype=np.int64) * n_span
+    cells += np.frombuffer(ns, dtype=np.int64)
+    return n_span, cells
+
+
+def reference_repeat_error(text: str, n_span: int, cells: np.ndarray) -> ValueError | None:
+    """The error for the first entry whose cell an earlier one has, if any."""
+    order = np.argsort(cells, kind="stable")  # each cell's entries in file order
+    ordered = cells[order]
+    repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if repeats.size == 0:
+        return None
+    repeat = int(order[repeats + 1].min())
+    first = int(order[np.searchsorted(ordered, cells[repeat])])
+    first_line, repeat_line = (
+        next(itertools.islice(reference_nonblank_lines(text), entry + 1, None))[0]
+        for entry in (first, repeat)
+    )
+    m, n = divmod(int(cells[repeat]), n_span)
+    return ValueError(f"line {repeat_line}: offer ({m}, {n}) repeats line {first_line}")
+
+
+def reference_offers_from_csv(text: str) -> OfferMatrix:
+    """Parse the offers wire format; raises ValueError naming the bad line.
+
+    Entries go into flat arrays.  A stable sort of their cells finds a
+    repeated offer, and one scatter fills each matrix.  Errors come in line
+    order, and the size cap is checked last, before allocating.
+    """
+    lines = reference_nonblank_lines(text)
+    if next(lines, (0, ""))[1].strip() != "m,n,gamma_linear,transfer":
+        raise ValueError("line 1: expected header 'm,n,gamma_linear,transfer'")
+    ms, ns, gs, ts = array("q"), array("q"), array("d"), array("d")
+    m_max = n_max = 0
+    try:
+        for lineno, line in lines:
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ValueError(f"line {lineno}: expected 4 comma-separated fields")
+            try:
+                m, n = int(parts[0]), int(parts[1])
+                g, t = float(parts[2]), float(parts[3])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if m < 0 or n < 0:
+                raise ValueError(f"line {lineno}: negative relay or subcarrier index")
+            m_max, n_max = max(m_max, m + 1), max(n_max, n + 1)
+            # An index the size cap rejects anyway is stored as a stand-in no
+            # other entry shares, which keeps the cells within int64.
+            ms.append(m if m < _CSV_HUGE_INDEX else _CSV_HUGE_INDEX + len(ms))
+            ns.append(n if n < _CSV_HUGE_INDEX else _CSV_HUGE_INDEX + len(ns))
+            gs.append(g)
+            ts.append(t)
+    except ValueError as exc:  # unless the entries above it already repeat a cell
+        raise reference_repeat_error(text, *reference_cells(ms, ns)) or exc from None
+    n_span, cells = reference_cells(ms, ns)
+    del ms, ns
+    error = reference_repeat_error(text, n_span, cells)
+    if error is not None:
+        raise error
+    if 2 * 8 * m_max * n_max > _MAX_OFFER_BYTES:
+        raise ValueError(
+            f"offers span {m_max} relays x {n_max} subcarriers: "
+            "their SNR and transfer arrays would exceed 2**28 bytes"
+        )
+    # Within the cap every index is exact and n_span is n_max.
+    # Each flat array goes as soon as it is used, for a lower peak.
+    snr = np.zeros(m_max * n_max)
+    snr[cells] = np.frombuffer(gs)
+    del gs
+    transfer = np.zeros(m_max * n_max)
+    transfer[cells] = np.frombuffer(ts)
+    del ts, cells
+    return OfferMatrix(snr.reshape(m_max, n_max), transfer.reshape(m_max, n_max))
+
+
+def parse_both(text):
+    """Each parser's outcome: (shape, snr bytes, transfer bytes) or the message."""
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for parse in (offers_from_csv, reference_offers_from_csv):
+            try:
+                offers = parse(text)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((offers.snr.shape, offers.snr.tobytes(), offers.transfer.tobytes()))
+    return outcomes
+
+
+_HEADER = "m,n,gamma_linear,transfer\n"
+
+
+@pytest.mark.parametrize(
+    "body, plain, expected",
+    [
+        pytest.param("0,0,0x1p3,1\n", False, "line 2: could not convert string to float: '0x1p3'", id="hex-float"),
+        pytest.param("0,3.0,1,1\n", False, "line 2: invalid literal for int() with base 10: '3.0'", id="index-3.0"),
+        pytest.param("0,3e0,1,1\n", False, "line 2: invalid literal for int() with base 10: '3e0'", id="index-3e0"),
+        pytest.param("0,+3,1,1\n", False, ([[0, 0, 0, 1.0]], [[0, 0, 0, 1.0]]), id="index-+3"),
+        pytest.param("0,007,1,1\n", True, ([[0] * 7 + [1.0]], [[0] * 7 + [1.0]]), id="index-007"),
+        pytest.param("0,0,1_0,1\n", False, ([[10.0]], [[1.0]]), id="underscore"),
+        pytest.param(
+            "0,0,1\u20032,1\n", False, "line 2: could not convert string to float: '1\\u20032'",
+            id="em-space-inside",
+        ),
+        pytest.param("0,\u20031,2,1\n", False, ([[0, 2.0]], [[0, 1.0]]), id="em-space-leading"),
+        pytest.param("0,0,1,1\r\n0,1,2,1\r\n", False, ([[1.0, 2.0]], [[1.0, 1.0]]), id="crlf"),
+        pytest.param("0,0,1,1\x0c0,0,2,1\n", False, "line 3: offer (0, 0) repeats line 2", id="form-feed"),
+        pytest.param("\n0,0,1,1\n\n0,0,2,1\n", False, "line 5: offer (0, 0) repeats line 3", id="blank-lines"),
+        pytest.param("0,0,1,1\n0,1,2,1", False, ([[1.0, 2.0]], [[1.0, 1.0]]), id="no-final-newline"),
+        pytest.param(
+            "0,1000000000,1,1\n", False,
+            "offers span 1 relays x 1000000001 subcarriers: their SNR and transfer arrays would exceed 2**28 bytes",
+            id="index-10-digits",
+        ),
+        pytest.param(
+            "0,999999999,1,1\n", True,
+            "offers span 1 relays x 1000000000 subcarriers: their SNR and transfer arrays would exceed 2**28 bytes",
+            id="index-9-digits",
+        ),
+        pytest.param("0,0,-0,-0\n", True, ([[-0.0]], [[-0.0]]), id="minus-zero"),
+        pytest.param("0,0,1,1e-400\n", True, ([[1.0]], [[0.0]]), id="underflow"),
+        pytest.param("0,0,1e400,1\n", True, "offers must be finite and non-negative", id="overflow"),
+        pytest.param("0,0,nan,1\n", False, "offers must be finite and non-negative", id="nan"),
+        pytest.param("0,0,1,inf\n", False, "offers must be finite and non-negative", id="inf"),
+    ],
+)
+def test_offers_csv_edge_cases_read_as_the_reference_loop_reads_them(body, plain, expected):
+    # `plain` pins which path reads the body: the array parse or the line loop.
+    assert (selection_module._plain_columns(body) is not None) == plain
+    new, reference = parse_both(_HEADER + body)
+    assert new == reference
+    if isinstance(expected, str):
+        assert reference == expected
+    else:
+        snr, transfer = (np.array(rows, dtype=float) for rows in expected)
+        assert reference == (snr.shape, snr.tobytes(), transfer.tobytes())
+
+
+def plain_lines(count):
+    """`count` distinct plain offer lines of 19 characters each."""
+    return [f"{i // 100:03d},{i % 100:02d},1.25,0.5e-1\n" for i in range(count)]
+
+
+def spy_plain_columns(monkeypatch):
+    """Record whether each chunk `offers_from_csv` tries is read as arrays."""
+    plain, read = [], selection_module._plain_columns
+
+    def spy(chunk):
+        columns = read(chunk)
+        plain.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(selection_module, "_plain_columns", spy)
+    return plain
+
+
+def test_offers_csv_names_a_bad_line_in_the_second_chunk(monkeypatch):
+    lines = plain_lines(8000)  # about 152 000 characters: three chunks
+    lines[5000] = "50,0,1.25,x\n"  # line 5002, past the first 65 536 characters
+    text = _HEADER + "".join(lines)
+    plain = spy_plain_columns(monkeypatch)
+    with pytest.raises(ValueError) as caught:
+        offers_from_csv(text)
+    assert str(caught.value) == "line 5002: could not convert string to float: 'x'"
+    assert plain == [True, False]  # the loop raises in the second chunk
+    monkeypatch.undo()
+    assert parse_both(text)[1] == str(caught.value)
+
+
+def test_offers_csv_names_a_repeat_that_spans_two_chunks(monkeypatch):
+    lines = plain_lines(8000)
+    lines[6000] = lines[2]  # line 6002 repeats line 4, both read as arrays
+    text = _HEADER + "".join(lines)
+    plain = spy_plain_columns(monkeypatch)
+    with pytest.raises(ValueError) as caught:
+        offers_from_csv(text)
+    assert str(caught.value) == "line 6002: offer (0, 2) repeats line 4"
+    assert plain == [True, True, True]
+    monkeypatch.undo()
+    assert parse_both(text)[1] == str(caught.value)
+
+
+def test_plain_offers_csv_is_read_as_arrays_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(1111)
+    snr = rng.uniform(0.0, 200.0, (40, 64)) * (rng.random((40, 64)) > 0.3)
+    transfer = rng.uniform(0.05, 1.3, (40, 64)) * (snr > 0.0)
+    text = offers_to_csv(OfferMatrix(snr, transfer))
+    plain = spy_plain_columns(monkeypatch)
+    offers = offers_from_csv(text)
+    assert plain == [True, True]
+    assert offers.snr.tobytes() == snr.tobytes() and offers.transfer.tobytes() == transfer.tobytes()
+
+
+# Characters at and just past the edges of the plain whitelist `0-9 . e E + - , LF`,
+# the line breaks str.splitlines honours, and texts strtod and int/float read
+# differently.
+_EDGE_TEXTS = [
+    *"/:09.eE+-,\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", " ",
+    "\u2003", "\u2028", "\t", "_", "x", "p", "d", "D", "f", "F", "n", "i", "\x00", "\u0663",
+    "\uff10", "\xe9", "nan", "inf", "0x1p3", "1e400", "1e-400", "-0", "", "e5", "1,1",
+]
+_PLAIN_FIELD = st.one_of(
+    st.integers(0, 12).map(str),
+    st.floats(0.0, 1e6).map(repr),
+    st.text(st.sampled_from(list("0123456789.eE+-")), max_size=4),
+)
+
+
+@st.composite
+def mutated_offers_csv(draw):
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    snr_value = st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 5e-324, 1e-17, 1.5]))
+    price = st.one_of(st.floats(1e-3, 3.0), st.sampled_from([0.0, 1.0, 0.1]))
+    snr = np.array(draw(st.lists(snr_value, min_size=m * n, max_size=m * n)), dtype=float)
+    transfer = np.array(draw(st.lists(price, min_size=m * n, max_size=m * n)), dtype=float)
+    transfer[snr == 0.0] = 0.0
+    text = offers_to_csv(OfferMatrix(snr.reshape(m, n), transfer.reshape(m, n)))
+    for _ in range(draw(st.integers(0, 3))):
+        begin = draw(st.integers(0, len(text)))
+        end = draw(st.integers(begin, min(len(text), begin + 3)))
+        text = text[:begin] + draw(st.sampled_from(_EDGE_TEXTS)) + text[end:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    text=st.one_of(
+        st.text(max_size=80),
+        st.text(max_size=80).map(_HEADER.__add__),
+        st.lists(st.lists(_PLAIN_FIELD, min_size=3, max_size=5).map(",".join), max_size=6).map(
+            lambda lines: _HEADER + "".join(line + "\n" for line in lines)
+        ),
+        mutated_offers_csv(),
+    ),
+    chunk=st.sampled_from([1 << 16, 1, 9, 40]),
+)
+def test_property_offers_csv_reads_as_the_reference_loop(text, chunk):
+    # Small chunks mix array-read and loop-read chunks within one text.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection_module, "_CSV_CHUNK", chunk)
+        new, reference = parse_both(text)
+    assert new == reference
