@@ -297,7 +297,7 @@ class _WeightOverflow(ValueError):
 
 
 def weighted_split_selection(
-    problem: SelectionProblem, kind: SelectionMethod
+    problem: SelectionProblem, kind: SelectionMethod, *, floor: float = -math.inf
 ) -> SelectionResult:
     """Split the budget by a weight profile, then solve one knapsack per subcarrier.
 
@@ -307,6 +307,15 @@ def weighted_split_selection(
     there the DP's best value at every capacity from the offers' running
     weight up is their running float sum, so its traceback takes an offer
     exactly when its SNR moves that sum (a 1e-17 after a 100 is left out).
+
+    With a finite `floor`, the split keeps a running upper bound on its
+    capacity: the sum of its per-subcarrier fractional-knapsack terms
+    (`_column_bounds`), in which each knapsack's exact log2(1 + SNR sum)
+    replaces its subcarrier's term once solved.  Before each knapsack, if
+    bound*(1 + 1e-9) + 1e-9 < floor, the split stops and returns what it
+    has: the all-fit subcarriers, the solved ones, and the rest empty.
+    That selection is feasible and its capacity is below `floor`.  When
+    the split does not stop, its result is the same as with no floor.
     """
     offers = problem.offers
     with np.errstate(over="ignore"):  # weights that overflow are the named error below
@@ -332,8 +341,18 @@ def weighted_split_selection(
     rows, cols = np.nonzero(taken)
     for m, n in zip(rows.tolist(), cols.tolist()):
         subsets[n].append(m)
-    for n in np.flatnonzero(~fits).tolist():
-        subsets[n] = knapsack_01(offers.snr[:, n], offers.transfer[:, n], sub_budgets[n], resolution)
+    solve = np.flatnonzero(~fits).tolist()
+    bound, terms = math.inf, None  # no floor: a bound that never stops the split
+    if solve and floor > -math.inf:
+        terms = _column_bounds(offers, caps, resolution).tolist()
+        bound = _sequential_sum(terms)
+    for n in solve:
+        if bound * (1.0 + 1e-9) + 1e-9 < floor:
+            break
+        snr_col = offers.snr[:, n]
+        subsets[n] = knapsack_01(snr_col, offers.transfer[:, n], sub_budgets[n], resolution)
+        if terms is not None:
+            bound += math.log2(1.0 + _sequential_sum(snr_col[subsets[n]].tolist())) - terms[n]
     return _result(offers, subsets, kind)
 
 
@@ -375,18 +394,40 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
     return _result(offers, subsets, SelectionMethod.SSCPA)
 
 
-def _split_bounds(problem: SelectionProblem) -> np.ndarray:
-    """Upper bounds on the ESW, ASW and NSW splits' capacities, in that order.
+def _column_bounds(offers: OfferMatrix, caps: np.ndarray, resolution: int) -> np.ndarray:
+    """Upper bounds, log2(1 + the fractional knapsack optimum), on the
+    capacity a budget split can reach on each subcarrier at unit budgets
+    `caps`, shape (N,) or (K, N) for K splits; the result has caps' shape.
 
-    Each is the sum over subcarriers of log2(1 + the split's fractional
-    knapsack optimum there).  A subset the split takes on subcarrier n has
-    price units summing to at most its cap, and an offer's units are at
-    least t*resolution - _UNIT_SNAP, so with weights t*resolution the subset
-    fits room cap + M*_UNIT_SNAP.  The fractional optimum fills that room in
-    efficiency order, the break offer in part; free offers count whole.
-    The margins absorb rounding.  A split whose weights sum to zero has caps
-    of NaN here and a bound near 0; one whose weights overflow gets inf, so
-    it still runs and drops out.
+    A subset the split takes on subcarrier n has price units summing to at
+    most its cap, and an offer's units are at least t*resolution -
+    _UNIT_SNAP, so with weights t*resolution the subset fits room cap +
+    M*_UNIT_SNAP.  The fractional optimum fills that room in efficiency
+    order, the break offer in part; free offers count whole.  A cap of NaN
+    buys nothing but free offers; an infinite cap buys every offer.
+    """
+    order = offers.efficiency_order, np.arange(offers.n)
+    snr, priced = offers.snr[order], offers.transfer[order] * resolution
+    caps = caps[..., None, :]
+    # The split's usable offers: their units, ceil(priced - snap), fit the cap.
+    usable = (snr > 0.0) & (priced - _UNIT_SNAP <= caps)
+    weight = np.where(usable, priced, 0.0)
+    ahead = np.zeros_like(weight)
+    np.cumsum(weight[..., :-1, :], axis=-2, out=ahead[..., 1:, :])
+    room = caps + offers.m * _UNIT_SNAP
+    bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
+    with np.errstate(over="ignore"):  # an infinite share fits every offer
+        np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
+    np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
+    return np.log2(1.0 + (bought * snr).sum(axis=-2))
+
+
+def _split_bounds(problem: SelectionProblem) -> np.ndarray:
+    """Upper bounds on the ESW, ASW and NSW splits' capacities, in that order:
+    the sum of each split's `_column_bounds`, with margins that absorb
+    rounding.  A split whose weights sum to zero has caps of NaN here and a
+    bound near 0; one whose weights overflow gets inf, so it still runs and
+    drops out.
     """
     offers, resolution = problem.offers, problem.resolution
     with np.errstate(over="ignore", invalid="ignore"):
@@ -394,19 +435,7 @@ def _split_bounds(problem: SelectionProblem) -> np.ndarray:
         totals = np.array([weights.sum() for weights in profiles])
         # The split's own float operations, so its caps exactly.
         caps = np.floor(np.stack(profiles) * problem.budget / totals[:, None] * resolution + _UNIT_SNAP)
-    order = offers.efficiency_order, np.arange(offers.n)
-    snr, priced = offers.snr[order], offers.transfer[order] * resolution
-    # The split's usable offers: their units, ceil(priced - snap), fit the cap.
-    usable = (snr > 0.0) & (priced - _UNIT_SNAP <= caps[:, None, :])
-    weight = np.where(usable, priced, 0.0)
-    ahead = np.zeros_like(weight)
-    np.cumsum(weight[:, :-1], axis=1, out=ahead[:, 1:])
-    room = caps[:, None, :] + offers.m * _UNIT_SNAP
-    bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
-    with np.errstate(over="ignore"):  # an infinite share fits every offer
-        np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
-    np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
-    bounds = np.log2(1.0 + (bought * snr).sum(axis=1)).sum(axis=1) * (1.0 + 1e-9) + 1e-9
+    bounds = _column_bounds(offers, caps, resolution).sum(axis=1) * (1.0 + 1e-9) + 1e-9
     return np.where(totals < math.inf, bounds, math.inf)
 
 
@@ -415,7 +444,10 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
 
     SSCPA runs first.  A split whose `_split_bounds` bound is below the best
     capacity found so far cannot win, so it does not run; a split that may
-    tie still runs and, being earlier, keeps the tie.  An ASW or NSW split
+    tie still runs and, being earlier, keeps the tie.  A split that runs
+    gets that best capacity as its `floor`: it stops once its running bound
+    falls below it, and returns a selection that cannot win.  So the result
+    is the same as running all four in full.  An ASW or NSW split
     whose budget weights overflow drops out; ESW's weights are ones, so ESW
     and SSCPA always compete.  The selection is feasible, so its capacity
     never exceeds `exhaustive_optimum`. It does not dominate
@@ -430,7 +462,7 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
         if bound < best:
             continue
         try:
-            candidates.append(weighted_split_selection(problem, kind))
+            candidates.append(weighted_split_selection(problem, kind, floor=best))
         except _WeightOverflow:
             continue
         best = max(best, candidates[-1].capacity)

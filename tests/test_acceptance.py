@@ -344,30 +344,35 @@ def test_criterion_9_dp_scaling():
     rng = np.random.default_rng(909)
 
     def timed(gammas, transfers, budget):
-        best = math.inf
-        for _ in range(3):
-            start = time.perf_counter()
-            knapsack_01(gammas, transfers, budget, 1000)
-            best = min(best, time.perf_counter() - start)
-        return best
+        start = time.perf_counter()
+        knapsack_01(gammas, transfers, budget, 1000)
+        return time.perf_counter() - start
 
     # warm-up so allocator effects stay out of the smallest sample
     timed(rng.uniform(1, 10, 32), rng.uniform(0.001, 1.0, 32), 8.0)
 
     m_grid = [25, 50, 100, 200]
-    m_times = []
+    m_cases = []
     for m in m_grid:
         gammas = rng.uniform(1.0, 10.0, m)
         transfers = rng.uniform(0.001, 6.0, m)
-        m_times.append(timed(gammas, transfers, 20.0))
-    m_slope = float(np.polyfit(np.log(m_grid), np.log(m_times), 1)[0])
-
+        m_cases.append((gammas, transfers, 20.0))
     budget_grid = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
-    b_times = []
+    b_cases = []
     for budget in budget_grid:
         gammas = rng.uniform(1.0, 10.0, 120)
         transfers = rng.uniform(0.001, 1.0, 120)
-        b_times.append(timed(gammas, transfers, budget))
+        b_cases.append((gammas, transfers, budget))
+
+    # Every round times every size, so a burst of load on a shared host
+    # slows all sizes alike; each size keeps its fastest round.
+    cases = m_cases + b_cases
+    best = [math.inf] * len(cases)
+    for _ in range(7):
+        for i, case in enumerate(cases):
+            best[i] = min(best[i], timed(*case))
+    m_times, b_times = best[: len(m_grid)], best[len(m_grid):]
+    m_slope = float(np.polyfit(np.log(m_grid), np.log(m_times), 1)[0])
     b_slope = float(np.polyfit(np.log(budget_grid), np.log(b_times), 1)[0])
 
     ok = 0.8 <= m_slope <= 1.3 and 0.8 <= b_slope <= 1.3

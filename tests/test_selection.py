@@ -1128,6 +1128,31 @@ def test_overall_runs_a_split_that_ties_sscpa_and_keeps_its_subsets(monkeypatch)
     assert (result.subsets, result.spend, result.method) == (((0,),), 1.0, SelectionMethod.OVERALL)
 
 
+def test_overall_stops_a_split_once_its_first_knapsack_proves_it_cannot_win(monkeypatch):
+    # ESW gives each subcarrier 1.0.  On subcarrier 0 that buys one offer of
+    # 0.6, though the fractional bound buys 1 2/3 of them: ESW's bound,
+    # log2(167.67) + log2(21) = 11.78, is above SSCPA's log2(201) + log2(11)
+    # = 11.11, so ESW runs.  After subcarrier 0's knapsack its bound is
+    # log2(101) + log2(21) = 11.05, below SSCPA, so subcarrier 1's is never
+    # run.  ASW and NSW give subcarrier 0 nearly all the budget, and their
+    # bounds, log2(201), fall below SSCPA.
+    calls = counting_knapsack(monkeypatch)
+    snr = np.array([[100.0, 10.0], [100.0, 10.0], [0.0, 10.0]])
+    transfer = np.array([[0.6, 0.5], [0.6, 0.5], [0.0, 0.5]])
+    problem = SelectionProblem(OfferMatrix(snr, transfer), 2.0)
+    best = sscpa(problem)
+    bounds = selection_module._split_bounds(problem)
+    assert bounds[0] > best.capacity > bounds[1:].max()
+    esw = weighted_split_selection(problem, SelectionMethod.ESW)
+    assert len(calls) == 2 and esw.subsets == ((0,), (0, 1)) and esw.capacity < best.capacity
+    calls.clear()
+    result = overall_heuristic(problem)
+    assert len(calls) == 1
+    assert result.subsets == best.subsets == ((0, 1), (0,)) and result.capacity == best.capacity
+    stopped = weighted_split_selection(problem, SelectionMethod.ESW, floor=best.capacity)
+    assert stopped.subsets == ((0,), ()) and stopped.capacity == math.log2(101.0)
+
+
 def test_knapsack_refuses_a_table_above_the_memory_cap():
     with pytest.raises(ValueError, match="1 usable offers x 20000001 money units"):
         knapsack_01(np.array([5.0, 1.0]), np.array([1.0, 3e7]), 2.0, 10**7)
@@ -1232,13 +1257,36 @@ def selection_problems(draw):
 @given(selection_problems())
 def test_property_selection_matches_reference_copies(problem):
     offers = problem.offers
+    candidates = []
     for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
-        assert_same_totals(weighted_split_selection(problem, kind), offers, reference_split(problem, kind))
-    assert_same_totals(sscpa(problem), offers, reference_sscpa(problem))
+        candidates.append(reference_split(problem, kind))
+        assert_same_totals(weighted_split_selection(problem, kind), offers, candidates[-1])
+    candidates.append(reference_sscpa(problem))
+    assert_same_totals(sscpa(problem), offers, candidates[-1])
+    # The first maximum in ESW, ASW, NSW, SSCPA order.
+    best = max(candidates, key=lambda subsets: reference_totals(offers, subsets)[0])
+    assert_same_totals(overall_heuristic(problem), offers, best)
     assert_same_totals(best_snr_baseline(problem), offers, reference_best_snr(problem))
     assert_bounds_dominate_splits(problem)
     assert_within_bisection(problem)
     assert_spends_the_budget(problem)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(selection_problems())
+def test_property_a_split_with_a_floor_stops_only_below_it(problem):
+    sequential = sscpa(problem).capacity
+    for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+        full = weighted_split_selection(problem, kind)
+        below, above = math.nextafter(full.capacity, -math.inf), math.nextafter(full.capacity, math.inf)
+        for floor in (full.capacity, above, below, sequential):
+            result = weighted_split_selection(problem, kind, floor=floor)
+            if floor <= full.capacity:
+                assert result == full
+            else:
+                # A stopped split keeps each subcarrier's subset or leaves it empty.
+                assert result.method is kind and result.capacity < floor
+                assert all(sub in (kept, ()) for sub, kept in zip(result.subsets, full.subsets))
 
 
 # -- frozen offers parser -----------------------------------------------------
