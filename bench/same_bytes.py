@@ -7,8 +7,12 @@ of `relaycontracts` commands on the parent and on the working tree, and
 compares every output file byte for byte:
 
 - `simulate` on the configurations of acceptance criterion 7 (the relay x
-  budget sweep; quant 3, 5 and 20; complete information; first-best menus),
-  seed 12345, at `--trials` per cell (default TRIALS; criterion 7 runs 1000);
+  budget sweep; quant 3, 5 and 20; complete information; first-best menus)
+  and on the benchmark's fine-grid cell (quant 1000, 32 subcarriers, 3
+  relays, budget 1), seed 12345, at `--trials` per cell (default TRIALS;
+  criterion 7 runs 1000);
+- `simulate` and `contracts` on a `--config` file whose empirical marginal
+  makes the screening menu pool (POOLED), at quant 10, 20 and 100;
 - `select` on CSVS generated offers files (relays 1-32, subcarriers
   1-64, declined and free offers, integer prices with exact ties), each at
   several budgets and two resolutions;
@@ -57,7 +61,12 @@ SIMULATE = {
     "quant20": ["--relays", "10", "--budget", "16", "--quant", "20"],
     "complete": ["--relays", "10", "--budget", "8,24", "--information", "complete"],
     "firstbest": ["--relays", "10", "--budget", "8,24", "--menu", "first_best"],
+    "fine_quant": ["--quant", "1000", "--subcarriers", "32", "--relays", "3", "--budget", "1"],
 }
+# A marginal with almost no mass on [100, 200]: its pointwise maximizers
+# decrease there, so the screening menu pools at every quant below.
+POOLED = {"dist": {"kind": "empirical", "cdf_points": [[50, 0], [100, 0.49], [200, 0.5], [300, 1]]}}
+POOLED_QUANTS = (10, 20, 100)
 
 
 def offers_csv(rng: np.random.Generator, index: int) -> tuple[str, float]:
@@ -83,6 +92,12 @@ def commands(work: Path, trials: int) -> dict[str, list[str]]:
         f"simulate_{name}": ["simulate", *flags, "--trials", str(trials), "--seed", "12345"]
         for name, flags in SIMULATE.items()
     }
+    config = work / "pooled.json"
+    config.write_text(json.dumps(POOLED))
+    for k in POOLED_QUANTS:
+        pooled = ["--config", str(config), "--quant", str(k)]
+        runs[f"simulate_pooled_{k}"] = ["simulate", *pooled, "--trials", str(trials), "--seed", "12345"]
+        runs[f"contracts_pooled_{k}"] = ["contracts", *pooled]
     runs["contracts"] = ["contracts"]
     runs["table3"] = ["table3"]
     rng = np.random.default_rng(SEED)

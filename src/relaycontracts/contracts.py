@@ -170,10 +170,20 @@ def first_best_menu(grid: TypeGrid, cost_coeff: float) -> ContractMenu:
 def _pava_nonincreasing(weights_num: np.ndarray, weights_den: np.ndarray):
     """Pool adjacent violators of the ratio sequence num/den (non-increasing).
 
-    Blocks carry (sum num, sum den, count); a block with zero denominator has
-    ratio +inf, so it can only survive unpooled at the head of the sequence.
+    A ratio with a non-positive denominator is +inf.  When no adjacent pair
+    of the singleton ratios increases, nothing pools: the singleton ratios
+    come back as one array with unit lengths, without the loop.  Otherwise
+    the loop pools: blocks carry (sum num, sum den, count), and a block with
+    zero denominator can only survive unpooled at the head of the sequence.
     Returns (block ratios, block lengths).
     """
+    nums = np.asarray(weights_num, dtype=float)
+    dens = np.asarray(weights_den, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        singles = np.where(dens > 0.0, nums / dens, math.inf)
+    if not np.any(singles[:-1] < singles[1:]):
+        return singles, np.ones(singles.size, dtype=int)
+
     blocks: list[list[float]] = []
 
     def ratio(b: list[float]) -> float:
@@ -251,6 +261,13 @@ def select_best_contract(menu: ContractMenu, theta: float) -> int | None:
     return None if best < 0 else best
 
 
+def _utilities(snrs: np.ndarray, transfers: np.ndarray, cost_coeff: float, types: np.ndarray):
+    """utilities[..., j] = t_j - c*snr_j/theta: the profit of every type in
+    `types` from every menu pair, built in one buffer of shape types.shape + (K,)."""
+    utilities = cost_coeff * snrs / types[..., None]
+    return np.subtract(transfers, utilities, out=utilities)
+
+
 def _best_response(snrs: np.ndarray, transfers: np.ndarray, cost_coeff: float, types):
     """Index of the preferred menu pair at every true type in `types`, or -1.
 
@@ -261,7 +278,7 @@ def _best_response(snrs: np.ndarray, transfers: np.ndarray, cost_coeff: float, t
     types = np.asarray(types, dtype=float)
     if not np.all(types > 0.0):
         raise ValueError("relay type must be positive")
-    utilities = transfers - cost_coeff * snrs / types[..., None]
+    utilities = _utilities(snrs, transfers, cost_coeff, types)
     best = utilities.argmax(axis=-1)
     keep = np.take_along_axis(utilities, best[..., None], axis=-1)[..., 0] >= 0.0
     return np.where(keep, best, -1)
@@ -275,13 +292,13 @@ def verify_menu(menu: ContractMenu, tol: float = MONEY_TOL) -> MenuAudit:
     c = menu.cost_coeff
 
     # utilities[k, j]: type k's profit from taking pair j
-    utilities = transfers[None, :] - c * gammas[None, :] / deltas[:, None]
-    own = np.diag(utilities)
+    utilities = _utilities(gammas, transfers, c, deltas)
+    own = np.diag(utilities).copy()
 
     ir = own >= -tol
-    ic = own[:, None] >= utilities - tol
-    np.fill_diagonal(ic, True)
     adjacent = np.abs(own[1:] - utilities[np.arange(1, len(deltas)), np.arange(len(deltas) - 1)]) <= tol
+    ic = own[:, None] >= np.subtract(utilities, tol, out=utilities)
+    np.fill_diagonal(ic, True)
     monotone = bool(np.all(np.diff(gammas) >= 0.0))
 
     return MenuAudit(

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaycontracts import (
     ContractMenu,
@@ -17,6 +19,7 @@ from relaycontracts import (
     snr_to_db,
     verify_menu,
 )
+from relaycontracts.contracts import MenuAudit, _best_response, _pava_nonincreasing
 
 TWO_LN2 = 2.0 * math.log(2.0)
 
@@ -309,3 +312,121 @@ def test_menu_arrays_are_built_once_and_read_only(table3_menu):
         assert getattr(table3_menu, name) is values
         assert not values.flags.writeable
         assert values.tolist() == [getattr(p, field) for p in table3_menu.pairs]
+
+
+# Frozen copies of the two-temporary best response, the pooling loop and
+# the two-temporary audit: the library's versions must match them bit for bit.
+def reference_best_response(snrs, transfers, cost_coeff, types):
+    types = np.asarray(types, dtype=float)
+    if not np.all(types > 0.0):
+        raise ValueError("relay type must be positive")
+    utilities = transfers - cost_coeff * snrs / types[..., None]
+    best = utilities.argmax(axis=-1)
+    keep = np.take_along_axis(utilities, best[..., None], axis=-1)[..., 0] >= 0.0
+    return np.where(keep, best, -1)
+
+
+def reference_pava(weights_num, weights_den):
+    blocks = []
+
+    def ratio(b):
+        return b[0] / b[1] if b[1] > 0.0 else math.inf
+
+    for num, den in zip(weights_num, weights_den):
+        blocks.append([num, den, 1])
+        while len(blocks) >= 2 and ratio(blocks[-2]) < ratio(blocks[-1]):
+            num2, den2, cnt2 = blocks.pop()
+            blocks[-1][0] += num2
+            blocks[-1][1] += den2
+            blocks[-1][2] += cnt2
+    return [ratio(b) for b in blocks], [b[2] for b in blocks]
+
+
+def reference_verify_menu(menu, tol=1e-9):
+    gammas, transfers, deltas, c = menu.snrs, menu.transfers, menu.grid.deltas, menu.cost_coeff
+    utilities = transfers[None, :] - c * gammas[None, :] / deltas[:, None]
+    own = np.diag(utilities)
+    ir = own >= -tol
+    ic = own[:, None] >= utilities - tol
+    np.fill_diagonal(ic, True)
+    adjacent = np.abs(own[1:] - utilities[np.arange(1, len(deltas)), np.arange(len(deltas) - 1)]) <= tol
+    return MenuAudit(
+        ir_satisfied=tuple(bool(x) for x in ir),
+        ir_binding_at_bottom=bool(abs(own[0]) <= tol),
+        ic_matrix=ic,
+        adjacent_ic_binding=tuple(bool(x) for x in adjacent),
+        monotone=bool(np.all(np.diff(gammas) >= 0.0)),
+    )
+
+
+# Few distinct values, so exact utility ties and exact zeros come up often.
+_MONEY = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0]),
+    st.floats(0.0, 1e4, allow_subnormal=False),
+)
+_TYPES = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.floats(1e-3, 1e4))
+
+
+@st.composite
+def best_response_cases(draw):
+    k = draw(st.integers(1, 6))
+    snrs = np.array(draw(st.lists(_MONEY, min_size=k, max_size=k)))
+    transfers = np.array(draw(st.lists(_MONEY, min_size=k, max_size=k)))
+    cost = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 1e3)))
+    shape = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+    size = int(np.prod(shape, dtype=int))
+    types = np.array(draw(st.lists(_TYPES, min_size=size, max_size=size))).reshape(shape)
+    return snrs, transfers, cost, types
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(best_response_cases())
+@example((np.array([1.0, 2.0, 2.0]), np.array([0.5, 1.0, 1.0]), 1.0, np.array([2.0, 4.0])))  # ties, exact 0
+@example((np.array([0.0]), np.array([-0.0]), 1.0, np.array(3.0)))  # K = 1, 0-d types, -0.0 utility
+@example((np.array([4.0, 0.0]), np.array([1.0, 0.0]), 1.0, np.array([1.0, 4.0])))  # -3.0 vs 0.0
+def test_best_response_matches_two_temporary_form_bitwise(case):
+    snrs, transfers, cost, types = case
+    got = _best_response(snrs, transfers, cost, types)
+    want = reference_best_response(snrs, transfers, cost, types)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def pava_inputs(draw):
+    n = draw(st.integers(0, 12))
+    den = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=n, max_size=n))
+    num = draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=n, max_size=n))
+    order = draw(st.sampled_from(["as drawn", "non-increasing", "increasing"]))
+    if order != "as drawn":  # unit denominators, so the ratios are the sorted numerators
+        num = sorted(num, reverse=order == "non-increasing")
+        den = [1.0] * n
+    return np.array(num, dtype=float), np.array(den, dtype=float)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(pava_inputs())
+@example((np.array([]), np.array([])))
+@example((np.array([2.0]), np.array([0.0])))
+@example((np.array([5.0, 1.0, 3.0]), np.array([0.0, 1.0, 1.0])))  # inf head, then a pool
+@example((np.array([3.0, 2.0, 2.0, 1.0]), np.array([1.0, 1.0, 1.0, 1.0])))  # monotone with a tie
+@example((np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0])))  # increasing: one block
+def test_pava_matches_frozen_loop_bitwise(case):
+    num, den = case
+    ratios, lengths = _pava_nonincreasing(num, den)
+    want_ratios, want_lengths = reference_pava(num, den)
+    assert np.asarray(ratios, dtype=float).tobytes() == np.array(want_ratios, dtype=float).tobytes()
+    assert np.asarray(lengths).tolist() == want_lengths
+
+
+def test_verify_menu_matches_two_temporary_form(grid_factory):
+    rng = np.random.default_rng(29)
+    pooled = TypeGrid(np.array([50.0, 100.0, 150.0]), np.tile([[0.495], [0.01], [0.495]], (1, 2)))
+    grids = [pooled, *(grid_factory(rng) for _ in range(20))]
+    for grid in grids:
+        for menu in (second_best_menu(grid, 1.5), first_best_menu(grid, 0.7)):
+            got, want = verify_menu(menu), reference_verify_menu(menu)
+            assert got.ic_matrix.tobytes() == want.ic_matrix.tobytes()
+            assert (got.ir_satisfied, got.ir_binding_at_bottom, got.adjacent_ic_binding, got.monotone) == (
+                want.ir_satisfied, want.ir_binding_at_bottom, want.adjacent_ic_binding, want.monotone
+            )

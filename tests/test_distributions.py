@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from relaycontracts import (
@@ -179,3 +181,54 @@ def test_type_grid_validation():
 def test_type_grid_rejects_non_finite_values(deltas, probs):
     with pytest.raises(ValueError, match="finite"):
         TypeGrid(np.array(deltas), np.array(probs))
+
+
+def _marginal(kind, low, high, shape):
+    if kind == "uniform":
+        return TypeDistribution.uniform(low, high)
+    if kind == "truncated_exponential":
+        return TypeDistribution.truncated_exponential(low, high, shape)
+    knee = low + 0.3 * (high - low)
+    return TypeDistribution.empirical([(low, 0.0), (knee, min(shape, 1.0)), (high, 1.0)])
+
+
+@st.composite
+def marginal_lists(draw):
+    """A support, its grid, and a marginal per subcarrier taken from a small pool.
+
+    The pool holds distinct objects, some of them equal, and subcarriers reuse
+    pool members both in runs and apart."""
+    low = draw(st.sampled_from([0.0, 1.0, 50.0]))
+    high = low + draw(st.sampled_from([0.5, 2.0, 250.0]))
+    specs = draw(st.lists(
+        st.tuples(st.sampled_from(["uniform", "truncated_exponential", "empirical"]),
+                  st.sampled_from([0.3, 0.9, 2.5])),
+        min_size=1, max_size=3,
+    ))
+    pool = [_marginal(kind, low, high, shape) for kind, shape in specs + specs[:1]]
+    n = draw(st.integers(1, 9))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    k = draw(st.integers(1, 60))
+    return pool, [pool[i] for i in picks], quantize_types(pool[0], k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(marginal_lists())
+def test_probabilities_match_per_column_evaluation_bitwise(case):
+    pool, dists, deltas = case
+    n = len(dists)
+    edges = np.append(deltas, pool[0].high)
+
+    def per_column(marginals):
+        return np.column_stack([np.diff(f.cdf(edges)) for f in marginals])
+
+    cases = [
+        (pool[0], [pool[0]] * n),  # one distribution
+        ([pool[0]] * n, [pool[0]] * n),  # a list repeating one object
+        ([pool[0], pool[-1]] * n, [pool[0], pool[-1]] * n),  # distinct equal objects
+        (dists, dists),
+    ]
+    for given_marginals, columns in cases:
+        got = type_probabilities(given_marginals, deltas, len(columns))
+        want = per_column(columns)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

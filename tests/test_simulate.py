@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from relaycontracts import (
     overall_heuristic,
     reproduce_table3,
     run_experiment,
+    second_best_menu,
     select_best_contract,
     simulate_round,
     table3_to_csv,
@@ -115,6 +117,27 @@ def test_accepted_offers_reject_non_positive_types(table3_menu):
         types[1, 2] = bad
         with pytest.raises(ValueError, match="positive"):
             accepted_offers(table3_menu, types)
+
+
+def test_best_response_fills_one_utility_buffer():
+    # At K=1000, M=3, N=32 the (M, N, K) utilities are 750 KiB; the best
+    # response builds them in that one buffer, so the call's peak stays
+    # well below two of them.
+    m, n, k = 3, 32, 1000
+    dist = TypeDistribution.uniform(50.0, 300.0)
+    menu = second_best_menu(TypeGrid.from_distribution(dist, k, n), 1.0)
+    types = dist.ppf(np.random.default_rng(5).random((m, n)))
+    accepted_offers(menu, types)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    accepted_offers(menu, types)
+    peak = tracemalloc.get_traced_memory()[1] - before
+    if not tracing:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * m * n * k
 
 
 def test_efficient_offers_match_first_best_contract_bitwise(table3_grid):
