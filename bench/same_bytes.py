@@ -16,6 +16,9 @@ compares every output file byte for byte:
 - `select` on CSVS generated offers files (relays 1-32, subcarriers
   1-64, declined and free offers, integer prices with exact ties), each at
   several budgets and two resolutions;
+- `select` on the EDGE_OFFERS files at two budgets each: ASW and NSW
+  weights that overflow, so those splits drop out, and all-free offers,
+  whose zero ASW and NSW weight sums give NaN caps;
 - `contracts` and `table3` at their defaults.
 
 Prints each output's sha256 on both sides and exits 1 if any output
@@ -67,6 +70,11 @@ SIMULATE = {
 # decrease there, so the screening menu pools at every quant below.
 POOLED = {"dist": {"kind": "empirical", "cdf_points": [[50, 0], [100, 0.49], [200, 0.5], [300, 1]]}}
 POOLED_QUANTS = (10, 20, 100)
+# Offers lines of the split plan's edge rows, and the budgets each runs at.
+EDGE_OFFERS = {
+    "overflow": (["0,0,1e300,1e-8", "0,1,1e300,1e-8"], ("1.5e-08", "1")),
+    "free": (["0,0,3.0,0", "1,0,2.0,0", "0,1,1e-17,0"], ("0", "1")),
+}
 
 
 def offers_csv(rng: np.random.Generator, index: int) -> tuple[str, float]:
@@ -112,6 +120,11 @@ def commands(work: Path, trials: int) -> dict[str, list[str]]:
                     "--resolution", str(resolution),
                 ]
         runs[f"select_{i:02d}_budget1"] = ["select", str(path), "--budget", "1"]
+    for name, (lines, budgets) in EDGE_OFFERS.items():
+        path = work / f"offers_{name}.csv"
+        path.write_text("\n".join(["m,n,gamma_linear,transfer", *lines]) + "\n")
+        for budget in budgets:
+            runs[f"select_{name}_{budget}"] = ["select", str(path), "--budget", budget]
     return runs
 
 

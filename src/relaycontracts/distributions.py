@@ -122,26 +122,6 @@ class TypeDistribution:
         out = np.clip(out, 0.0, 1.0)
         return float(out) if np.isscalar(theta) else out
 
-    def pdf(self, theta):
-        """Density; zero outside the support."""
-        x = np.asarray(theta, dtype=float)
-        span = self.high - self.low
-        inside = (x >= self.low) & (x <= self.high)
-        if self.kind is DistributionKind.UNIFORM:
-            out = np.where(inside, 1.0 / span, 0.0)
-        elif self.kind is DistributionKind.TRUNCATED_EXPONENTIAL:
-            a = self.rate
-            out = np.where(
-                inside, a * np.exp(-a * (x - self.low)) / -np.expm1(-a * span), 0.0
-            )
-        else:
-            gains = np.array([g for g, _ in self.cdf_points])
-            probs = np.array([p for _, p in self.cdf_points])
-            slopes = np.diff(probs) / np.diff(gains)
-            seg = np.clip(np.searchsorted(gains, x, side="right") - 1, 0, len(slopes) - 1)
-            out = np.where(inside, slopes[seg], 0.0)
-        return float(out) if np.isscalar(theta) else out
-
     def ppf(self, u):
         """Inverse CDF on [0, 1]."""
         q = np.asarray(u, dtype=float)

@@ -17,6 +17,8 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,6 +143,10 @@ class SelectionProblem:
                 f"{self.resolution} is 2**53 money units or more"
             )
 
+    @cached_property
+    def _split_plan(self) -> _SplitPlan:  # built on first use, once per problem
+        return _plan_splits(self)
+
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -233,8 +239,10 @@ def knapsack_01(
     transfers = np.asarray(transfer_col, dtype=float)
     if gammas.shape != transfers.shape or gammas.ndim != 1:
         raise ValueError("snr and transfer columns must be equal-length vectors")
-    if sub_budget < 0.0:
-        raise ValueError("sub-budget must be non-negative")
+    if not 0.0 <= sub_budget < math.inf:
+        raise ValueError(f"sub-budget must be finite and non-negative, got {sub_budget}")
+    if not 1 <= resolution < _EXACT_UNITS:
+        raise ValueError(f"resolution must be a unit count in [1, 2**53), got {resolution}")
 
     units = int(math.floor(sub_budget * resolution + _UNIT_SNAP))
     weights = _price_units(transfers, resolution)
@@ -296,6 +304,49 @@ class _WeightOverflow(ValueError):
     """A split's budget weights sum to infinity, so it has no budget shares."""
 
 
+class _SplitPlan(NamedTuple):  # one row per split: ESW, ASW, NSW
+    totals: list[float]  # each split's weight sum
+    sub_budgets: np.ndarray  # (3, N) budget shares
+    caps: np.ndarray  # (3, N) the shares in `knapsack_01`'s money units
+    terms: np.ndarray  # (3, N) log2(1 + each subcarrier's fractional knapsack optimum)
+    bounds: list[float]  # each split's capacity bound, inf where its weights overflow
+
+
+def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
+    """Each split's budget shares, their caps, and upper bounds on its capacity.
+
+    A subset the split takes on subcarrier n has price units summing to at
+    most its cap, and an offer's units are at least t*resolution -
+    _UNIT_SNAP, so with weights t*resolution the subset fits room cap +
+    M*_UNIT_SNAP.  The fractional optimum fills that room in efficiency
+    order, the break offer in part; free offers count whole.  A cap of NaN
+    (weights summing to zero) buys only free offers, an infinite cap every
+    offer.  A split's bound is its terms' sum with margins that absorb
+    rounding, or inf where its weights overflow, so it runs and drops out.
+    """
+    offers, resolution = problem.offers, problem.resolution
+    with np.errstate(over="ignore", invalid="ignore"):
+        profiles = [weight_profile(offers, kind) for kind in _SPLIT_KINDS]
+        totals = np.array([weights.sum() for weights in profiles])
+        sub_budgets = np.stack(profiles) * problem.budget / totals[:, None]
+        caps = np.floor(sub_budgets * resolution + _UNIT_SNAP)
+    order = offers.efficiency_order, np.arange(offers.n)
+    snr, priced = offers.snr[order], offers.transfer[order] * resolution
+    # The split's usable offers: their units, ceil(priced - snap), fit the cap.
+    usable = (snr > 0.0) & (priced - _UNIT_SNAP <= caps[:, None, :])
+    weight = np.where(usable, priced, 0.0)
+    ahead = np.zeros_like(weight)
+    np.cumsum(weight[:, :-1, :], axis=1, out=ahead[:, 1:, :])
+    room = caps[:, None, :] + offers.m * _UNIT_SNAP
+    bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
+    with np.errstate(over="ignore"):  # an infinite share fits every offer
+        np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
+    np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
+    terms = np.log2(1.0 + (bought * snr).sum(axis=1))
+    bounds = np.where(totals < math.inf, terms.sum(axis=1) * (1.0 + 1e-9) + 1e-9, math.inf)
+    return _SplitPlan(totals.tolist(), sub_budgets, caps, terms, bounds.tolist())
+
+
 def weighted_split_selection(
     problem: SelectionProblem, kind: SelectionMethod, *, floor: float = -math.inf
 ) -> SelectionResult:
@@ -308,51 +359,44 @@ def weighted_split_selection(
     weight up is their running float sum, so its traceback takes an offer
     exactly when its SNR moves that sum (a 1e-17 after a 100 is left out).
 
-    With a finite `floor`, the split keeps a running upper bound on its
-    capacity: the sum of its per-subcarrier fractional-knapsack terms
-    (`_column_bounds`), in which each knapsack's exact log2(1 + SNR sum)
-    replaces its subcarrier's term once solved.  Before each knapsack, if
-    bound*(1 + 1e-9) + 1e-9 < floor, the split stops and returns what it
-    has: the all-fit subcarriers, the solved ones, and the rest empty.
-    That selection is feasible and its capacity is below `floor`.  When
-    the split does not stop, its result is the same as with no floor.
+    The split keeps a running upper bound on its capacity: the sum of its
+    per-subcarrier fractional-knapsack terms (`_plan_splits`), in which
+    each knapsack's exact log2(1 + SNR sum) replaces its subcarrier's term
+    once solved.  Before each knapsack, if bound*(1 + 1e-9) + 1e-9 <
+    `floor`, the split stops and returns what it has: the all-fit
+    subcarriers, the solved ones, and the rest empty.  That selection is
+    feasible and its capacity is below `floor`.  With no floor it never
+    stops; a split that does not stop returns what it would with no floor.
     """
-    offers = problem.offers
-    with np.errstate(over="ignore"):  # weights that overflow are the named error below
-        weights = weight_profile(offers, kind)
-        total = weights.sum()
+    if kind not in _SPLIT_KINDS:
+        raise ValueError(f"no weight profile for method {kind}")
+    offers, plan, row = problem.offers, problem._split_plan, _SPLIT_KINDS.index(kind)
+    total = plan.totals[row]
     if not total < math.inf:
         raise _WeightOverflow(f"{kind.value} budget weights overflow: their sum is {total}")
     if total <= 0.0:
         return _empty_result(offers, kind)
-    resolution = problem.resolution
+    resolution, sub_budgets, caps = problem.resolution, plan.sub_budgets[row], plan.caps[row]
     units = _price_units(offers.transfer, resolution)
-    with np.errstate(over="ignore"):  # an infinite share fits every column
-        sub_budgets = weights * problem.budget / total
-        caps = np.floor(sub_budgets * resolution + _UNIT_SNAP)  # knapsack_01's unit budgets
-        usable = (offers.snr > 0.0) & (units <= caps)
-        # Float sums of whole units are exact below 2**53 and stay at or
-        # above it; int64 sums of many prices near 2**53 units would wrap.
-        fits = np.where(usable, units, 0).sum(axis=0, dtype=float) <= caps
-        running = np.where(usable, offers.snr, 0.0).cumsum(axis=0)
+    usable = (offers.snr > 0.0) & (units <= caps)
+    # Float sums of whole units are exact below 2**53 and stay at or
+    # above it; int64 sums of many prices near 2**53 units would wrap.
+    fits = np.where(usable, units, 0).sum(axis=0, dtype=float) <= caps
+    running = np.where(usable, offers.snr, 0.0).cumsum(axis=0)
     taken = usable & fits
     taken[1:] &= running[1:] > running[:-1]
     subsets: list[list[int]] = [[] for _ in range(offers.n)]
     rows, cols = np.nonzero(taken)
     for m, n in zip(rows.tolist(), cols.tolist()):
         subsets[n].append(m)
-    solve = np.flatnonzero(~fits).tolist()
-    bound, terms = math.inf, None  # no floor: a bound that never stops the split
-    if solve and floor > -math.inf:
-        terms = _column_bounds(offers, caps, resolution).tolist()
-        bound = _sequential_sum(terms)
-    for n in solve:
+    terms = plan.terms[row].tolist()
+    bound = _sequential_sum(terms)
+    for n in np.flatnonzero(~fits).tolist():
         if bound * (1.0 + 1e-9) + 1e-9 < floor:
             break
         snr_col = offers.snr[:, n]
         subsets[n] = knapsack_01(snr_col, offers.transfer[:, n], sub_budgets[n], resolution)
-        if terms is not None:
-            bound += math.log2(1.0 + _sequential_sum(snr_col[subsets[n]].tolist())) - terms[n]
+        bound += math.log2(1.0 + _sequential_sum(snr_col[subsets[n]].tolist())) - terms[n]
     return _result(offers, subsets, kind)
 
 
@@ -394,55 +438,10 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
     return _result(offers, subsets, SelectionMethod.SSCPA)
 
 
-def _column_bounds(offers: OfferMatrix, caps: np.ndarray, resolution: int) -> np.ndarray:
-    """Upper bounds, log2(1 + the fractional knapsack optimum), on the
-    capacity a budget split can reach on each subcarrier at unit budgets
-    `caps`, shape (N,) or (K, N) for K splits; the result has caps' shape.
-
-    A subset the split takes on subcarrier n has price units summing to at
-    most its cap, and an offer's units are at least t*resolution -
-    _UNIT_SNAP, so with weights t*resolution the subset fits room cap +
-    M*_UNIT_SNAP.  The fractional optimum fills that room in efficiency
-    order, the break offer in part; free offers count whole.  A cap of NaN
-    buys nothing but free offers; an infinite cap buys every offer.
-    """
-    order = offers.efficiency_order, np.arange(offers.n)
-    snr, priced = offers.snr[order], offers.transfer[order] * resolution
-    caps = caps[..., None, :]
-    # The split's usable offers: their units, ceil(priced - snap), fit the cap.
-    usable = (snr > 0.0) & (priced - _UNIT_SNAP <= caps)
-    weight = np.where(usable, priced, 0.0)
-    ahead = np.zeros_like(weight)
-    np.cumsum(weight[..., :-1, :], axis=-2, out=ahead[..., 1:, :])
-    room = caps + offers.m * _UNIT_SNAP
-    bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
-    with np.errstate(over="ignore"):  # an infinite share fits every offer
-        np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
-    np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
-    return np.log2(1.0 + (bought * snr).sum(axis=-2))
-
-
-def _split_bounds(problem: SelectionProblem) -> np.ndarray:
-    """Upper bounds on the ESW, ASW and NSW splits' capacities, in that order:
-    the sum of each split's `_column_bounds`, with margins that absorb
-    rounding.  A split whose weights sum to zero has caps of NaN here and a
-    bound near 0; one whose weights overflow gets inf, so it still runs and
-    drops out.
-    """
-    offers, resolution = problem.offers, problem.resolution
-    with np.errstate(over="ignore", invalid="ignore"):
-        profiles = [weight_profile(offers, kind) for kind in _SPLIT_KINDS]
-        totals = np.array([weights.sum() for weights in profiles])
-        # The split's own float operations, so its caps exactly.
-        caps = np.floor(np.stack(profiles) * problem.budget / totals[:, None] * resolution + _UNIT_SNAP)
-    bounds = _column_bounds(offers, caps, resolution).sum(axis=1) * (1.0 + 1e-9) + 1e-9
-    return np.where(totals < math.inf, bounds, math.inf)
-
-
 def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     """Best of the ESW/ASW/NSW splits and SSCPA; ties keep the earlier method.
 
-    SSCPA runs first.  A split whose `_split_bounds` bound is below the best
+    SSCPA runs first.  A split whose `_plan_splits` bound is below the best
     capacity found so far cannot win, so it does not run; a split that may
     tie still runs and, being earlier, keeps the tie.  A split that runs
     gets that best capacity as its `floor`: it stops once its running bound
@@ -458,7 +457,7 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     sequential = sscpa(problem)
     best = sequential.capacity
     candidates = []
-    for kind, bound in zip(_SPLIT_KINDS, _split_bounds(problem).tolist()):
+    for kind, bound in zip(_SPLIT_KINDS, problem._split_plan.bounds):
         if bound < best:
             continue
         try:

@@ -178,12 +178,6 @@ def broadcast_menu(config: ExperimentConfig) -> ContractMenu:
     return second_best_menu(grid, config.cost_coeff)
 
 
-def _scalar(value, name: str) -> float:
-    if isinstance(value, tuple):
-        raise ValueError(f"{name} sweep given; simulate_round needs a single value")
-    return value
-
-
 def simulate_round(
     config: ExperimentConfig,
     rng: np.random.Generator,
@@ -194,8 +188,12 @@ def simulate_round(
     `menu` is `broadcast_menu(config)` when given, so a sweep cell can build
     it once for all its rounds; complete-information rounds ignore it.
     """
-    m = int(_scalar(config.relays, "relay"))
-    budget = float(_scalar(config.budget, "budget"))
+    relays, budgets = config.relay_sweep, config.budget_sweep
+    if len(relays) != 1 or len(budgets) != 1:
+        raise ValueError(
+            f"{len(relays)} relay counts x {len(budgets)} budgets given; simulate_round needs one cell"
+        )
+    m, budget = int(relays[0]), float(budgets[0])
     # The round's largest array: M x N offers, times K menu types in the best
     # responses; with no relays, per-subcarrier rows still hold N values.
     values = max(m, 1) * config.subcarriers

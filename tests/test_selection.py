@@ -814,7 +814,7 @@ def test_selection_methods_match_reference_implementations():
         problem = SelectionProblem(offers, float(transfer.sum() * share), resolution)
 
         candidates = []
-        bounds = selection_module._split_bounds(problem)
+        bounds = split_bounds(problem)
         for kind, bound in zip((SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW), bounds):
             subsets = reference_split(problem, kind)
             assert_same_totals(weighted_split_selection(problem, kind), offers, subsets)
@@ -1050,10 +1050,15 @@ def test_splits_run_the_knapsack_only_where_the_usable_offers_do_not_all_fit(mon
     assert all(reach > units for _, reach, units in calls)
 
 
+def split_bounds(problem):
+    """The ESW, ASW and NSW bounds of the problem's split plan, as an array."""
+    return np.array(problem._split_plan.bounds)
+
+
 def assert_bounds_dominate_splits(problem):
-    """Each split's `_split_bounds` entry is at least its capacity; a split
+    """Each split's plan bound is at least its capacity; a split
     whose weights overflow has bound inf."""
-    bounds = selection_module._split_bounds(problem)
+    bounds = split_bounds(problem)
     for kind, bound in zip((SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW), bounds):
         try:
             assert bound >= weighted_split_selection(problem, kind).capacity
@@ -1073,7 +1078,7 @@ def test_split_bounds_dominate_the_splits_on_edge_cases():
     # Free offers only: every split takes them all, and so may the bound.
     free = SelectionProblem(OfferMatrix(np.array([[3.0, 1e-17], [2.0, 0.0]]), np.zeros((2, 2))), 0.0)
     assert_bounds_dominate_splits(free)
-    assert selection_module._split_bounds(free)[0] >= math.log2(6.0)
+    assert split_bounds(free)[0] >= math.log2(6.0)
     # Twenty offers of 9.9e-10 money cost 0 units each, so the split takes
     # them with the 1-unit offer; their prices overhang its cap by 2e-8.
     snr, transfer = np.full((21, 1), 1e-6), np.full((21, 1), 9.9e-10)
@@ -1088,10 +1093,10 @@ def test_split_bounds_dominate_the_splits_on_edge_cases():
     with np.errstate(over="ignore"):
         assert np.isinf(weight_profile(huge_share.offers, SelectionMethod.ASW) * 1e300).any()
     assert_bounds_dominate_splits(huge_share)
-    assert np.isfinite(selection_module._split_bounds(huge_share)).all()
+    assert np.isfinite(split_bounds(huge_share)).all()
     # ASW and NSW weights that overflow: those splits keep bound inf.
     overflow = SelectionProblem(OfferMatrix(np.array([[1e300, 1e300]]), np.array([[1e-8, 1e-8]])), 1.0)
-    bounds = selection_module._split_bounds(overflow)
+    bounds = split_bounds(overflow)
     assert np.isfinite(bounds[0]) and bounds[1] == bounds[2] == math.inf
     assert_bounds_dominate_splits(overflow)
 
@@ -1105,7 +1110,7 @@ def test_overall_skips_the_splits_that_cannot_beat_sscpa(monkeypatch):
     )
     best = sscpa(problem)
     assert best.subsets == ((0, 1), ()) and best.capacity == math.log2(201.0)
-    assert (selection_module._split_bounds(problem) < best.capacity).all()
+    assert (split_bounds(problem) < best.capacity).all()
     result = overall_heuristic(problem)
     assert calls == []
     assert (result.subsets, result.capacity) == (best.subsets, best.capacity)
@@ -1128,6 +1133,27 @@ def test_overall_runs_a_split_that_ties_sscpa_and_keeps_its_subsets(monkeypatch)
     assert (result.subsets, result.spend, result.method) == (((0,),), 1.0, SelectionMethod.OVERALL)
 
 
+def test_overall_builds_the_split_plan_once(monkeypatch):
+    # All three splits run a knapsack here; the pre-skip, the splits and their
+    # running bounds all read one plan, so each weight profile is computed once.
+    calls = counting_knapsack(monkeypatch)
+    profiles = []
+    original = selection_module.weight_profile
+
+    def counting_profile(offers, kind):
+        profiles.append(kind)
+        return original(offers, kind)
+
+    monkeypatch.setattr(selection_module, "weight_profile", counting_profile)
+    problem = SelectionProblem(offers_1d([10.0, 10.0], [1.0, 0.5]), 1.0)
+    result = overall_heuristic(problem)
+    assert len(calls) == 3 and result.subsets == ((0,),)
+    assert profiles == [SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW]
+    for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+        weighted_split_selection(problem, kind)
+    assert len(profiles) == 3
+
+
 def test_overall_stops_a_split_once_its_first_knapsack_proves_it_cannot_win(monkeypatch):
     # ESW gives each subcarrier 1.0.  On subcarrier 0 that buys one offer of
     # 0.6, though the fractional bound buys 1 2/3 of them: ESW's bound,
@@ -1141,7 +1167,7 @@ def test_overall_stops_a_split_once_its_first_knapsack_proves_it_cannot_win(monk
     transfer = np.array([[0.6, 0.5], [0.6, 0.5], [0.0, 0.5]])
     problem = SelectionProblem(OfferMatrix(snr, transfer), 2.0)
     best = sscpa(problem)
-    bounds = selection_module._split_bounds(problem)
+    bounds = split_bounds(problem)
     assert bounds[0] > best.capacity > bounds[1:].max()
     esw = weighted_split_selection(problem, SelectionMethod.ESW)
     assert len(calls) == 2 and esw.subsets == ((0,), (0, 1)) and esw.capacity < best.capacity
@@ -1151,6 +1177,20 @@ def test_overall_stops_a_split_once_its_first_knapsack_proves_it_cannot_win(monk
     assert result.subsets == best.subsets == ((0, 1), (0,)) and result.capacity == best.capacity
     stopped = weighted_split_selection(problem, SelectionMethod.ESW, floor=best.capacity)
     assert stopped.subsets == ((0,), ()) and stopped.capacity == math.log2(101.0)
+
+
+@pytest.mark.parametrize("budget", [math.inf, math.nan, -1.0])
+def test_knapsack_refuses_a_non_finite_or_negative_sub_budget(budget):
+    with pytest.raises(ValueError, match="sub-budget must be finite and non-negative"):
+        knapsack_01(np.array([5.0]), np.array([1.0]), budget, 1000)
+
+
+@pytest.mark.parametrize("resolution", [0, -3, 2**53])
+def test_knapsack_refuses_a_resolution_outside_1_to_2_to_the_53(resolution):
+    # At resolution 0 a priced offer costs 0 units and was bought for free.
+    with pytest.raises(ValueError, match=r"resolution must be a unit count in \[1, 2\*\*53\)"):
+        knapsack_01(np.array([5.0]), np.array([1.0]), 1.0, resolution)
+    assert knapsack_01(np.array([5.0]), np.array([1.0]), 1.0, 1) == [0]
 
 
 def test_knapsack_refuses_a_table_above_the_memory_cap():

@@ -56,6 +56,14 @@ def test_round_rejects_sweep_config():
         simulate_round(small_config(relays=(2, 4)), np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("relays, budget", [((4,), 4.0), (4, [4.0]), ([4], (4.0,))])
+def test_round_accepts_one_value_sweeps(relays, budget):
+    scalar = simulate_round(small_config(), np.random.default_rng(3))
+    assert simulate_round(small_config(relays=relays, budget=budget), np.random.default_rng(3)) == scalar
+    with pytest.raises(ValueError, match="1 relay counts x 2 budgets given"):
+        simulate_round(small_config(relays=relays, budget=(4.0, 8.0)), np.random.default_rng(3))
+
+
 def test_forced_top_type_saturates_menu(table3_menu):
     n = table3_menu.grid.n
     types = np.full((1, n), 299.0)
