@@ -13,6 +13,8 @@ compares every output file byte for byte:
   criterion 7 runs 1000);
 - `simulate` and `contracts` on a `--config` file whose empirical marginal
   makes the screening menu pool (POOLED), at quant 10, 20 and 100;
+- `simulate` on a `--config` file of JSON scalars (SCALARS), and
+  `contracts` with one relay count and one budget, which it ignores;
 - `select` on CSVS generated offers files (relays 1-32, subcarriers
   1-64, declined and free offers, integer prices with exact ties), each at
   several budgets and two resolutions;
@@ -70,6 +72,8 @@ SIMULATE = {
 # decrease there, so the screening menu pools at every quant below.
 POOLED = {"dist": {"kind": "empirical", "cdf_points": [[50, 0], [100, 0.49], [200, 0.5], [300, 1]]}}
 POOLED_QUANTS = (10, 20, 100)
+# One sweep cell given as JSON scalars rather than lists.
+SCALARS = {"relays": 10, "budget": 16, "quant": 5}
 # Offers lines of the split plan's edge rows, and the budgets each runs at.
 EDGE_OFFERS = {
     "overflow": (["0,0,1e300,1e-8", "0,1,1e300,1e-8"], ("1.5e-08", "1")),
@@ -106,7 +110,11 @@ def commands(work: Path, trials: int) -> dict[str, list[str]]:
         pooled = ["--config", str(config), "--quant", str(k)]
         runs[f"simulate_pooled_{k}"] = ["simulate", *pooled, "--trials", str(trials), "--seed", "12345"]
         runs[f"contracts_pooled_{k}"] = ["contracts", *pooled]
+    scalars = work / "scalars.json"
+    scalars.write_text(json.dumps(SCALARS))
+    runs["simulate_scalars"] = ["simulate", "--config", str(scalars), "--trials", str(trials), "--seed", "12345"]
     runs["contracts"] = ["contracts"]
+    runs["contracts_cell"] = ["contracts", "--relays", "10", "--budget", "16"]
     runs["table3"] = ["table3"]
     rng = np.random.default_rng(SEED)
     for i in range(CSVS):

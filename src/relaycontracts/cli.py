@@ -58,14 +58,14 @@ def _parse_dist(spec) -> TypeDistribution:
 
 
 def _sweep(kind):
-    """Parser of one value or a sweep: comma-separated text or a JSON list."""
+    """Parser of a sweep tuple from one value, comma-separated text or a JSON list."""
 
     def sweep(value):
         parts = [str(p) for p in value] if isinstance(value, list) else str(value).split(",")
         values = tuple(kind(p) for p in parts if p.strip())
         if not values:
             raise ValueError("expected a value or a comma-separated sweep")
-        return values[0] if len(values) == 1 else values
+        return values
 
     return sweep
 
@@ -144,11 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     contracts = commands.add_parser(
         "contracts", help="emit a contract menu as CSV (k, delta, snr, transfer, rent)"
     )
+    contracts.set_defaults(run=_cmd_contracts)
     _add_experiment_flags(contracts)
 
     select = commands.add_parser(
         "select", help="run the selection methods over an offers CSV"
     )
+    select.set_defaults(run=_cmd_select)
     select.add_argument("offers", help="offers CSV (m,n,gamma_linear,transfer)")
     select.add_argument(
         "--budget", type=_at_least(float, 0.0, "budget must be non-negative"),
@@ -162,11 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser(
         "simulate", help="Monte Carlo capacity experiment, metrics CSV per sweep cell"
     )
+    simulate.set_defaults(run=_cmd_simulate)
     _add_experiment_flags(simulate)
 
     table3 = commands.add_parser(
         "table3", help="first/second-best contract table at the reference defaults"
     )
+    table3.set_defaults(run=_cmd_table3)
     table3.add_argument("--cost", type=float, default=1.0)
     table3.add_argument("--out", help="output CSV path (default: stdout)")
 
@@ -177,53 +181,38 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _cmd_contracts(args: argparse.Namespace) -> str:
+    return menu_to_csv(broadcast_menu(_experiment_config(args)))
 
 
-def _cmd_contracts(args: argparse.Namespace) -> int:
-    _emit(menu_to_csv(broadcast_menu(_experiment_config(args))), args.out)
-    return 0
-
-
-def _cmd_select(args: argparse.Namespace) -> int:
+def _cmd_select(args: argparse.Namespace) -> str:
     offers = offers_from_csv(Path(args.offers).read_text())
     problem = SelectionProblem(offers, args.budget, args.resolution)
     results = [overall_heuristic(problem), best_snr_baseline(problem)]
     bound = relaxed_upper_bound(problem)
-    _emit(selection_to_csv(results, bounds={"Relaxed": bound}), args.out)
-    return 0
+    return selection_to_csv(results, bounds={"Relaxed": bound})
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
-    table = run_experiment(config)
-    _emit(table.to_csv(), args.out)
-    return 0
+def _cmd_simulate(args: argparse.Namespace) -> str:
+    return run_experiment(_experiment_config(args)).to_csv()
 
 
-def _cmd_table3(args: argparse.Namespace) -> int:
-    rows = reproduce_table3(args.cost)
-    _emit(table3_to_csv(rows), args.out)
-    return 0
+def _cmd_table3(args: argparse.Namespace) -> str:
+    return table3_to_csv(reproduce_table3(args.cost))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "contracts":
-            return _cmd_contracts(args)
-        if args.command == "select":
-            return _cmd_select(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_table3(args)
+        text = args.run(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

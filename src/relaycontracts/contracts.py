@@ -284,8 +284,9 @@ def _best_response(snrs: np.ndarray, transfers: np.ndarray, cost_coeff: float, t
     return np.where(keep, best, -1)
 
 
-def verify_menu(menu: ContractMenu, tol: float = MONEY_TOL) -> MenuAudit:
-    """Evaluate every IR and IC inequality of `menu` at money tolerance tol."""
+def verify_menu(menu: ContractMenu) -> MenuAudit:
+    """Evaluate every IR and IC inequality of `menu` at money tolerance MONEY_TOL."""
+    tol = MONEY_TOL
     gammas = menu.snrs
     transfers = menu.transfers
     deltas = menu.grid.deltas

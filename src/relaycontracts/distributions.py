@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 
 import numpy as np
 
@@ -162,9 +161,9 @@ def type_probabilities(
     The bracket above the top type closes at the support's upper edge.
     Columns sum to 1 exactly when deltas[0] is the lower support edge, as
     `quantize_types` always produces; pass one distribution per subcarrier
-    for heterogeneous marginals (all must share the same support).  Each
-    distinct marginal object's CDF is evaluated once, and each run of
-    subcarriers that repeats it gets copies of that column.
+    for heterogeneous marginals (all must share the same support).  One
+    distribution's CDF is evaluated once and its column repeated; a list
+    evaluates each subcarrier's marginal.
     """
     if n_subcarriers < 1:
         raise ValueError("need at least one subcarrier")
@@ -187,14 +186,9 @@ def type_probabilities(
     if d[0] < low or d[-1] > high:
         raise ValueError("deltas must lie inside the distribution support")
     edges = np.append(d, high)
-    masses, columns, repeats = {}, [], []
-    for key, run in groupby(dists, key=id):  # runs of one marginal object
-        run = list(run)
-        if key not in masses:
-            masses[key] = np.diff(run[0].cdf(edges))
-        columns.append(masses[key])
-        repeats.append(len(run))
-    return np.repeat(np.column_stack(columns), repeats, axis=1)
+    if isinstance(dist, TypeDistribution):
+        return np.repeat(np.diff(dist.cdf(edges))[:, None], n_subcarriers, axis=1)
+    return np.column_stack([np.diff(f.cdf(edges)) for f in dists])
 
 
 def sample_type_vector(

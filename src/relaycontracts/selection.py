@@ -167,7 +167,7 @@ def _check_subsets(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> Non
 
 
 def _sequential_sum(values) -> float:
-    """Left-to-right float sum, as `sum` adds numpy scalars (never compensated)."""
+    """Left-to-right float sum; the builtin `sum` compensates floats from Python 3.12."""
     total = 0.0
     for value in values:
         total += value
@@ -175,11 +175,9 @@ def _sequential_sum(values) -> float:
 
 
 def _capacity(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> float:
-    return float(
-        sum(
-            math.log2(1.0 + _sequential_sum(col[m] for m in sub))
-            for col, sub in zip(offers.snr.T.tolist(), subsets)
-        )
+    return _sequential_sum(
+        math.log2(1.0 + _sequential_sum(col[m] for m in sub))
+        for col, sub in zip(offers.snr.T.tolist(), subsets)
     )
 
 
@@ -300,16 +298,12 @@ def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
         return np.where(sum_t > 0.0, offers.snr.sum(axis=0) / sum_t, 0.0)
 
 
-class _WeightOverflow(ValueError):
-    """A split's budget weights sum to infinity, so it has no budget shares."""
-
-
 class _SplitPlan(NamedTuple):  # one row per split: ESW, ASW, NSW
     totals: list[float]  # each split's weight sum
     sub_budgets: np.ndarray  # (3, N) budget shares
     caps: np.ndarray  # (3, N) the shares in `knapsack_01`'s money units
     terms: np.ndarray  # (3, N) log2(1 + each subcarrier's fractional knapsack optimum)
-    bounds: list[float]  # each split's capacity bound, inf where its weights overflow
+    bounds: list[float]  # each split's capacity bound, -inf where its weights overflow
 
 
 def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
@@ -322,7 +316,7 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
     order, the break offer in part; free offers count whole.  A cap of NaN
     (weights summing to zero) buys only free offers, an infinite cap every
     offer.  A split's bound is its terms' sum with margins that absorb
-    rounding, or inf where its weights overflow, so it runs and drops out.
+    rounding, or -inf where its weights overflow, so it never runs.
     """
     offers, resolution = problem.offers, problem.resolution
     with np.errstate(over="ignore", invalid="ignore"):
@@ -343,7 +337,7 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
         np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
     np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
     terms = np.log2(1.0 + (bought * snr).sum(axis=1))
-    bounds = np.where(totals < math.inf, terms.sum(axis=1) * (1.0 + 1e-9) + 1e-9, math.inf)
+    bounds = np.where(totals < math.inf, terms.sum(axis=1) * (1.0 + 1e-9) + 1e-9, -math.inf)
     return _SplitPlan(totals.tolist(), sub_budgets, caps, terms, bounds.tolist())
 
 
@@ -373,7 +367,7 @@ def weighted_split_selection(
     offers, plan, row = problem.offers, problem._split_plan, _SPLIT_KINDS.index(kind)
     total = plan.totals[row]
     if not total < math.inf:
-        raise _WeightOverflow(f"{kind.value} budget weights overflow: their sum is {total}")
+        raise ValueError(f"{kind.value} budget weights overflow: their sum is {total}")
     if total <= 0.0:
         return _empty_result(offers, kind)
     resolution, sub_budgets, caps = problem.resolution, plan.sub_budgets[row], plan.caps[row]
@@ -446,10 +440,10 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     tie still runs and, being earlier, keeps the tie.  A split that runs
     gets that best capacity as its `floor`: it stops once its running bound
     falls below it, and returns a selection that cannot win.  So the result
-    is the same as running all four in full.  An ASW or NSW split
-    whose budget weights overflow drops out; ESW's weights are ones, so ESW
-    and SSCPA always compete.  The selection is feasible, so its capacity
-    never exceeds `exhaustive_optimum`. It does not dominate
+    is the same as running all four in full.  An ASW or NSW split whose
+    budget weights overflow has bound -inf and never runs; ESW's weights are
+    ones, so ESW and SSCPA always compete.  The selection is feasible, so
+    its capacity never exceeds `exhaustive_optimum`. It does not dominate
     `best_snr_baseline` on every instance: each candidate commits money per
     subcarrier, and the greedy's global packing can win.  The ordering
     holds on average only.
@@ -458,13 +452,9 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     best = sequential.capacity
     candidates = []
     for kind, bound in zip(_SPLIT_KINDS, problem._split_plan.bounds):
-        if bound < best:
-            continue
-        try:
+        if bound >= best:
             candidates.append(weighted_split_selection(problem, kind, floor=best))
-        except _WeightOverflow:
-            continue
-        best = max(best, candidates[-1].capacity)
+            best = max(best, candidates[-1].capacity)
     candidates.append(sequential)
     return replace(max(candidates, key=lambda r: r.capacity), method=SelectionMethod.OVERALL)
 

@@ -597,6 +597,14 @@ def test_config_sweeps_accept_json_lists(tmp_path, capsys):
     assert [(r["M"], r["budget"]) for r in rows[::3]] == [("2", "1"), ("3", "1")]
 
 
+def test_sweeps_are_always_tuples(tmp_path):
+    assert cli._sweep(float)("16") == (16.0,)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"relays": 10, "budget": 16}))
+    parsed = cli._experiment_config(cli.build_parser().parse_args(["simulate", "--config", str(config)]))
+    assert (parsed.relays, parsed.budget) == ((10,), (16.0,))
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -92,6 +92,19 @@ def test_capacity_examples():
     assert capacity(two, [(0,), (0,)]) == pytest.approx(1.0 + 2.0)
 
 
+def test_capacity_adds_its_terms_left_to_right():
+    # A term of 50.0 then ten of about 2.9e-15, each below half of 50.0's
+    # float spacing: a left-to-right sum stays 50.0, a compensated one does not.
+    snr = np.array([[2.0**50 - 1.0] + [2e-15] * 10])
+    offers = OfferMatrix(snr, np.ones_like(snr))
+    terms = [math.log2(1.0 + g) for g in snr[0].tolist()]
+    sequential = 0.0
+    for term in terms:
+        sequential += term
+    assert terms[0] == 50.0 and sequential == 50.0 != math.fsum(terms)
+    assert capacity(offers, [(0,)] * 11) == sequential
+
+
 def test_capacity_rejects_bad_subsets():
     offers = offers_1d([1.0], [0.1])
     with pytest.raises(ValueError):
@@ -1057,13 +1070,13 @@ def split_bounds(problem):
 
 def assert_bounds_dominate_splits(problem):
     """Each split's plan bound is at least its capacity; a split
-    whose weights overflow has bound inf."""
+    whose weights overflow has bound -inf."""
     bounds = split_bounds(problem)
     for kind, bound in zip((SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW), bounds):
         try:
             assert bound >= weighted_split_selection(problem, kind).capacity
         except ValueError as exc:
-            assert "budget weights overflow" in str(exc) and bound == math.inf
+            assert "budget weights overflow" in str(exc) and bound == -math.inf
 
 
 def test_split_bounds_dominate_the_splits_on_edge_cases():
@@ -1094,10 +1107,10 @@ def test_split_bounds_dominate_the_splits_on_edge_cases():
         assert np.isinf(weight_profile(huge_share.offers, SelectionMethod.ASW) * 1e300).any()
     assert_bounds_dominate_splits(huge_share)
     assert np.isfinite(split_bounds(huge_share)).all()
-    # ASW and NSW weights that overflow: those splits keep bound inf.
+    # ASW and NSW weights that overflow: those splits keep bound -inf.
     overflow = SelectionProblem(OfferMatrix(np.array([[1e300, 1e300]]), np.array([[1e-8, 1e-8]])), 1.0)
     bounds = split_bounds(overflow)
-    assert np.isfinite(bounds[0]) and bounds[1] == bounds[2] == math.inf
+    assert np.isfinite(bounds[0]) and bounds[1] == bounds[2] == -math.inf
     assert_bounds_dominate_splits(overflow)
 
 
@@ -1257,6 +1270,21 @@ def test_overall_drops_the_splits_whose_weights_overflow():
     assert result.subsets == esw.subsets == ((0,), (0,))
     assert result.capacity == max(esw.capacity, sscpa(problem).capacity)
     assert result.method is SelectionMethod.OVERALL
+
+
+def test_overall_runs_only_the_splits_whose_weights_sum(monkeypatch):
+    # The overflowing problem above: ASW and NSW have bound -inf, so only ESW runs.
+    kinds = []
+    original = selection_module.weighted_split_selection
+
+    def wrapper(problem, kind, **kwargs):
+        kinds.append(kind)
+        return original(problem, kind, **kwargs)
+
+    monkeypatch.setattr(selection_module, "weighted_split_selection", wrapper)
+    offers = OfferMatrix(np.array([[1e300, 1e300]]), np.array([[1e-8, 1e-8]]))
+    assert overall_heuristic(SelectionProblem(offers, 1.0)).subsets == ((0,), (0,))
+    assert kinds == [SelectionMethod.ESW]
 
 
 # -- property tests against the reference copies ------------------------------
