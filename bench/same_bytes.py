@@ -18,9 +18,12 @@ compares every output file byte for byte:
 - `select` on CSVS generated offers files (relays 1-32, subcarriers
   1-64, declined and free offers, integer prices with exact ties), each at
   several budgets and two resolutions;
-- `select` on the EDGE_OFFERS files at two budgets each: ASW and NSW
-  weights that overflow, so those splits drop out, and all-free offers,
-  whose zero ASW and NSW weight sums give NaN caps;
+- `select` on the EDGE_OFFERS files at one or two budgets each: ASW and
+  NSW weights that overflow, so those splits drop out; all-free offers,
+  whose zero ASW and NSW weight sums give NaN caps; offers on which a
+  later split has the highest plan bound, so the splits run out of rank
+  order; splits that tie on bound and capacity; and a split that stops
+  after the knapsack it solves first, by estimated bound drop;
 - `contracts` and `table3` at their defaults.
 
 Prints each output's sha256 on both sides and exits 1 if any output
@@ -78,6 +81,16 @@ SCALARS = {"relays": 10, "budget": 16, "quant": 5}
 EDGE_OFFERS = {
     "overflow": (["0,0,1e300,1e-8", "0,1,1e300,1e-8"], ("1.5e-08", "1")),
     "free": (["0,0,3.0,0", "1,0,2.0,0", "0,1,1e-17,0"], ("0", "1")),
+    # ASW has the highest bound and runs first; all three splits reach one
+    # capacity, and ESW, whose subsets differ, keeps the tie.
+    "asw_first": (["0,0,10,2", "0,1,20,1.5", "1,1,20,0.5"], ("2", "3")),
+    # NSW has the highest bound at budget 3.5.
+    "nsw_first": (["0,0,20,0.5", "0,1,15,1", "1,0,10,2", "1,1,15,1", "2,1,15,0.5"], ("3.5", "2")),
+    # ESW and NSW have equal bounds and capacities, ASW a higher bound and
+    # the same capacity with other subsets.
+    "tie": (["0,0,15,1.5", "0,1,20,1.5", "1,1,20,1"], ("2",)),
+    # ESW stops after one knapsack, its largest estimated bound drop, at 2.5.
+    "drop_order": (["0,0,20,1", "0,1,20,1", "1,0,10,1", "1,1,20,0.5"], ("2.5", "1.5")),
 }
 
 

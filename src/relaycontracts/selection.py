@@ -17,7 +17,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -143,9 +142,11 @@ class SelectionProblem:
                 f"{self.resolution} is 2**53 money units or more"
             )
 
-    @cached_property
+    @property
     def _split_plan(self) -> _SplitPlan:  # built on first use, once per problem
-        return _plan_splits(self)
+        if "_plan" not in self.__dict__:
+            object.__setattr__(self, "_plan", _plan_splits(self))
+        return self.__dict__["_plan"]
 
 
 @dataclass(frozen=True)
@@ -298,11 +299,15 @@ def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
         return np.where(sum_t > 0.0, offers.snr.sum(axis=0) / sum_t, 0.0)
 
 
-class _SplitPlan(NamedTuple):  # one row per split: ESW, ASW, NSW
+class _SplitPlan(NamedTuple):
+    """One row per split, ESW, ASW, NSW.  The bounds order the splits, and
+    each row's terms - estimates the knapsacks of its split."""
+
     totals: list[float]  # each split's weight sum
     sub_budgets: np.ndarray  # (3, N) budget shares
     caps: np.ndarray  # (3, N) the shares in `knapsack_01`'s money units
     terms: np.ndarray  # (3, N) log2(1 + each subcarrier's fractional knapsack optimum)
+    estimates: np.ndarray  # (3, N) log2(1 + SNR of the offers that fractional fill buys whole)
     bounds: list[float]  # each split's capacity bound, -inf where its weights overflow
 
 
@@ -314,31 +319,34 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
     _UNIT_SNAP, so with weights t*resolution the subset fits room cap +
     M*_UNIT_SNAP.  The fractional optimum fills that room in efficiency
     order, the break offer in part; free offers count whole.  A cap of NaN
-    (weights summing to zero) buys only free offers, an infinite cap every
-    offer.  A split's bound is its terms' sum with margins that absorb
-    rounding, or -inf where its weights overflow, so it never runs.
+    (weights summing to zero) buys nothing, not even a free offer: its terms
+    and estimates are 0, as the split returns an empty selection there.  An
+    infinite cap buys every offer.  A split's bound is its terms' sum with
+    margins that absorb rounding, or -inf where its weights overflow, so it
+    never runs.  A term's estimate counts only the offers the fill buys whole.
     """
     offers, resolution = problem.offers, problem.resolution
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # weight sums of inf or 0, inf shares
         profiles = [weight_profile(offers, kind) for kind in _SPLIT_KINDS]
         totals = np.array([weights.sum() for weights in profiles])
         sub_budgets = np.stack(profiles) * problem.budget / totals[:, None]
         caps = np.floor(sub_budgets * resolution + _UNIT_SNAP)
-    order = offers.efficiency_order, np.arange(offers.n)
-    snr, priced = offers.snr[order], offers.transfer[order] * resolution
-    # The split's usable offers: their units, ceil(priced - snap), fit the cap.
-    usable = (snr > 0.0) & (priced - _UNIT_SNAP <= caps[:, None, :])
-    weight = np.where(usable, priced, 0.0)
-    ahead = np.zeros_like(weight)
-    np.cumsum(weight[:, :-1, :], axis=1, out=ahead[:, 1:, :])
-    room = caps[:, None, :] + offers.m * _UNIT_SNAP
-    bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
-    with np.errstate(over="ignore"):  # an infinite share fits every offer
+        order = offers.efficiency_order, np.arange(offers.n)
+        snr, priced = offers.snr[order], offers.transfer[order] * resolution
+        # The split's usable offers: their units, ceil(priced - snap), fit the cap.
+        usable = (snr > 0.0) & (priced - _UNIT_SNAP <= caps[:, None, :])
+        weight = np.where(usable, priced, 0.0)
+        ahead = np.zeros_like(weight)
+        np.cumsum(weight[:, :-1, :], axis=1, out=ahead[:, 1:, :])
+        room = caps[:, None, :] + offers.m * _UNIT_SNAP
+        bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
         np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
     np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
-    terms = np.log2(1.0 + (bought * snr).sum(axis=1))
+    # Rows 0-2 sum the fractional fill, rows 3-5 only the offers it buys whole.
+    logs = np.log2(1.0 + (np.concatenate((bought, np.floor(bought))) * snr).sum(axis=1))
+    terms, estimates = logs[:3], logs[3:]
     bounds = np.where(totals < math.inf, terms.sum(axis=1) * (1.0 + 1e-9) + 1e-9, -math.inf)
-    return _SplitPlan(totals.tolist(), sub_budgets, caps, terms, bounds.tolist())
+    return _SplitPlan(totals.tolist(), sub_budgets, caps, terms, estimates, bounds.tolist())
 
 
 def weighted_split_selection(
@@ -360,7 +368,10 @@ def weighted_split_selection(
     `floor`, the split stops and returns what it has: the all-fit
     subcarriers, the solved ones, and the rest empty.  That selection is
     feasible and its capacity is below `floor`.  With no floor it never
-    stops; a split that does not stop returns what it would with no floor.
+    stops.  It solves its knapsacks by descending term - estimate, the
+    plan's guess at each one's drop of the bound, ties in index order, so a
+    losing split crosses `floor` sooner.  Subcarriers are independent, so a
+    split that does not stop returns what it would with no floor.
     """
     if kind not in _SPLIT_KINDS:
         raise ValueError(f"no weight profile for method {kind}")
@@ -385,7 +396,10 @@ def weighted_split_selection(
         subsets[n].append(m)
     terms = plan.terms[row].tolist()
     bound = _sequential_sum(terms)
-    for n in np.flatnonzero(~fits).tolist():
+    solve = np.flatnonzero(~fits)
+    if solve.size > 1:  # largest estimated bound drop first; ties in index order
+        solve = solve[np.argsort(plan.estimates[row, solve] - plan.terms[row, solve], kind="stable")]
+    for n in solve.tolist():
         if bound * (1.0 + 1e-9) + 1e-9 < floor:
             break
         snr_col = offers.snr[:, n]
@@ -435,12 +449,15 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
 def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     """Best of the ESW/ASW/NSW splits and SSCPA; ties keep the earlier method.
 
-    SSCPA runs first.  A split whose `_plan_splits` bound is below the best
-    capacity found so far cannot win, so it does not run; a split that may
-    tie still runs and, being earlier, keeps the tie.  A split that runs
-    gets that best capacity as its `floor`: it stops once its running bound
-    falls below it, and returns a selection that cannot win.  So the result
-    is the same as running all four in full.  An ASW or NSW split whose
+    SSCPA runs first, then the splits by descending `_plan_splits` bound,
+    equal bounds in ESW, ASW, NSW order, so the likeliest winner raises the
+    best capacity so far early.  A split whose bound is below that best
+    cannot win and does not run.  One that runs gets the best as its
+    `floor` and stops once its running bound falls below it, with a
+    capacity below the final best.  The result is the first maximum, in
+    ESW, ASW, NSW, SSCPA order, among the candidates that ran.  Only a
+    candidate below the final best is skipped or stops, so the result is
+    that of all four run in full, ties included.  An ASW or NSW split whose
     budget weights overflow has bound -inf and never runs; ESW's weights are
     ones, so ESW and SSCPA always compete.  The selection is feasible, so
     its capacity never exceeds `exhaustive_optimum`. It does not dominate
@@ -448,15 +465,15 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     subcarrier, and the greedy's global packing can win.  The ordering
     holds on average only.
     """
-    sequential = sscpa(problem)
-    best = sequential.capacity
-    candidates = []
-    for kind, bound in zip(_SPLIT_KINDS, problem._split_plan.bounds):
-        if bound >= best:
-            candidates.append(weighted_split_selection(problem, kind, floor=best))
-            best = max(best, candidates[-1].capacity)
-    candidates.append(sequential)
-    return replace(max(candidates, key=lambda r: r.capacity), method=SelectionMethod.OVERALL)
+    ran = [None, None, None, sscpa(problem)]  # by rank: ESW, ASW, NSW, SSCPA
+    best, bounds = ran[3].capacity, problem._split_plan.bounds
+    for row in sorted(range(3), key=bounds.__getitem__, reverse=True):  # stable on ties
+        if bounds[row] < best:
+            break
+        ran[row] = weighted_split_selection(problem, _SPLIT_KINDS[row], floor=best)
+        best = max(best, ran[row].capacity)
+    first_best = max([result for result in ran if result is not None], key=lambda r: r.capacity)
+    return replace(first_best, method=SelectionMethod.OVERALL)
 
 
 def best_snr_baseline(problem: SelectionProblem) -> SelectionResult:

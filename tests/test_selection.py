@@ -1114,6 +1114,24 @@ def test_split_bounds_dominate_the_splits_on_edge_cases():
     assert_bounds_dominate_splits(overflow)
 
 
+def test_a_nan_cap_buys_nothing_not_even_free_offers():
+    # Free offers have efficiency 0, and here every offer is free, so the
+    # ASW and NSW weights sum to zero and their caps are NaN.  Those splits
+    # take nothing, and their terms, estimates and bounds leave out the free
+    # offers that ESW and SSCPA take.
+    problem = SelectionProblem(OfferMatrix(np.array([[3.0, 1e-17], [2.0, 0.0]]), np.zeros((2, 2))), 1.0)
+    plan = problem._split_plan
+    assert np.isnan(plan.caps[1:]).all()
+    assert (plan.terms[1:] == 0.0).all() and (plan.estimates[1:] == 0.0).all()
+    for kind in (SelectionMethod.ASW, SelectionMethod.NSW):
+        assert weighted_split_selection(problem, kind).subsets == ((), ())
+    assert_bounds_dominate_splits(problem)
+    esw = weighted_split_selection(problem, SelectionMethod.ESW)
+    assert esw.subsets == ((0, 1), (0,))
+    result = overall_heuristic(problem)
+    assert (result.subsets, result.capacity, result.spend) == (esw.subsets, esw.capacity, esw.spend)
+
+
 def test_overall_skips_the_splits_that_cannot_beat_sscpa(monkeypatch):
     # SSCPA spends all 2.0 on subcarrier 0 (capacity log2(201)); every
     # split leaves a share on subcarrier 1, so none can reach it.
@@ -1190,6 +1208,67 @@ def test_overall_stops_a_split_once_its_first_knapsack_proves_it_cannot_win(monk
     assert result.subsets == best.subsets == ((0, 1), (0,)) and result.capacity == best.capacity
     stopped = weighted_split_selection(problem, SelectionMethod.ESW, floor=best.capacity)
     assert stopped.subsets == ((0,), ()) and stopped.capacity == math.log2(101.0)
+
+
+def test_split_solves_its_largest_estimated_bound_drop_first(monkeypatch):
+    # ESW gives each subcarrier 1.25.  Subcarrier 0's fractional fill buys
+    # 20 whole and a quarter of 10 (term log2(23.5)), subcarrier 1's one 20
+    # whole and three quarters of the other (term log2(36)); each knapsack
+    # takes one 20, log2(21).  Subcarrier 1 drops the bound most, so it is
+    # solved first, and the bound, log2(23.5) + log2(21) = 8.95, is below
+    # SSCPA's log2(31) + log2(21) = 9.35.  In index order, subcarrier 0's
+    # knapsack would leave log2(21) + log2(36) = 9.56, and a second would run.
+    calls = counting_knapsack(monkeypatch)
+    snr, transfer = np.array([[20.0, 20.0], [10.0, 20.0]]), np.array([[1.0, 1.0], [1.0, 0.5]])
+    problem = SelectionProblem(OfferMatrix(snr, transfer), 2.5)
+    best = sscpa(problem)
+    assert best.subsets == ((0, 1), (1,)) and best.capacity == math.log2(31.0) + math.log2(21.0)
+    bounds = split_bounds(problem)
+    assert bounds[0] >= best.capacity > bounds[1:].max()
+    esw = weighted_split_selection(problem, SelectionMethod.ESW)
+    assert len(calls) == 2 and esw.capacity < best.capacity
+    index_order_bound = math.log2(21.0) + math.log2(36.0)
+    assert index_order_bound * (1.0 + 1e-9) + 1e-9 >= best.capacity
+    calls.clear()
+    result = overall_heuristic(problem)
+    # Only subcarrier 1's knapsack: 2 usable offers, 1500 price units, a 1250-unit share.
+    assert calls == [(2, 1500, 1250)]
+    assert (result.subsets, result.capacity) == (best.subsets, best.capacity)
+    stopped = weighted_split_selection(problem, SelectionMethod.ESW, floor=best.capacity)
+    assert stopped.subsets == ((), (0,)) and stopped.capacity == math.log2(21.0)
+    plan = problem._split_plan
+    assert plan.terms[0] - plan.estimates[0] == pytest.approx(
+        [math.log2(23.5 / 21.0), math.log2(36.0 / 21.0)]
+    )
+
+
+def test_overall_runs_the_splits_by_plan_bound_and_an_earlier_tie_wins(monkeypatch):
+    # ESW gives each subcarrier 1.0: on subcarrier 1 only relay 1 (price
+    # 0.5) fits.  ASW and NSW give subcarrier 1 most of the budget, where the
+    # DP keeps relay 0 (price 1.5), the first to reach SNR 20.  All three
+    # splits reach log2(21) with higher bounds for ASW, then NSW; SSCPA
+    # spends the budget on subcarrier 0, log2(11).  So ASW runs first, and
+    # ESW, run last on a bound just above the tie, keeps it.
+    kinds = []
+    original = selection_module.weighted_split_selection
+
+    def wrapper(problem, kind, **kwargs):
+        kinds.append(kind)
+        return original(problem, kind, **kwargs)
+
+    snr, transfer = np.array([[10.0, 20.0], [0.0, 20.0]]), np.array([[2.0, 1.5], [0.0, 0.5]])
+    problem = SelectionProblem(OfferMatrix(snr, transfer), 2.0)
+    bounds = split_bounds(problem)
+    assert bounds[1] > bounds[2] > bounds[0]
+    splits = [original(problem, kind) for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW)]
+    assert [split.subsets for split in splits] == [((), (1,)), ((), (0,)), ((), (0,))]
+    assert {split.capacity for split in splits} == {math.log2(21.0)}
+    assert sscpa(problem).capacity == math.log2(11.0)
+    monkeypatch.setattr(selection_module, "weighted_split_selection", wrapper)
+    result = overall_heuristic(problem)
+    assert kinds == [SelectionMethod.ASW, SelectionMethod.NSW, SelectionMethod.ESW]
+    assert result.subsets == splits[0].subsets and result.method is SelectionMethod.OVERALL
+    assert (result.capacity.hex(), result.spend.hex()) == (splits[0].capacity.hex(), (0.5).hex())
 
 
 @pytest.mark.parametrize("budget", [math.inf, math.nan, -1.0])
