@@ -24,7 +24,13 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
-_MAX_ARRAY_BYTES = 2**28  # cap on one array sized by the caller's counts
+_MAX_ARRAY_BYTES = 2**28  # cap on the arrays sized by a caller's counts, prices or offers file
+
+
+def _check_integer(name: str, value) -> None:
+    """The one integer check for counts: Python and NumPy integers pass; bools and floats fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class DistributionKind(str, Enum):
@@ -145,6 +151,7 @@ class TypeDistribution:
 
 def quantize_types(dist: TypeDistribution, k: int) -> np.ndarray:
     """Equidistant type grid delta_i = low + (i-1)/k * (high - low), i = 1..k."""
+    _check_integer("quantization factor", k)
     if k < 1:
         raise ValueError(f"quantization factor must be >= 1, got {k}")
     step = (dist.high - dist.low) / k

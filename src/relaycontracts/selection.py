@@ -21,6 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .distributions import _MAX_ARRAY_BYTES, _check_integer
+
 __all__ = [
     "OfferMatrix",
     "SelectionMethod",
@@ -43,8 +45,6 @@ __all__ = [
 
 _UNIT_SNAP = 1e-9  # guards ceil/floor against float noise in t * resolution
 _EXACT_UNITS = 2**53  # money-unit counts from here on are no longer exact floats
-_MAX_DP_BYTES = 2**28  # knapsack memory cap: bool table plus two float rows
-_MAX_OFFER_BYTES = 2**28  # offers CSV cap: the SNR and transfer arrays together
 _CSV_HUGE_INDEX = 2**30  # offers CSV indices from here on exceed the cap
 _CSV_CHUNK = 1 << 16  # characters of offers CSV split into lines at a time
 _CSV_HEADER = "m,n,gamma_linear,transfer"
@@ -63,6 +63,36 @@ class SelectionMethod(str, Enum):
 
 
 _SPLIT_KINDS = (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW)
+
+
+def _split_row(kind: SelectionMethod) -> int:
+    """The one split-kind check: the kind's row in ESW, ASW, NSW order."""
+    if kind not in _SPLIT_KINDS:
+        raise ValueError(f"no weight profile for method {kind}")
+    return _SPLIT_KINDS.index(kind)
+
+
+def _check_budget(budget: float, name: str = "budget") -> None:
+    """The one budget check, for budgets and a knapsack's sub-budget; NaN fails it."""
+    if not 0.0 <= budget < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {budget}")
+
+
+def _check_resolution(resolution: int) -> None:
+    """The one resolution check: an integer count of money units per 1.0, below 2**53."""
+    _check_integer("resolution", resolution)
+    if not 1 <= resolution < _EXACT_UNITS:
+        raise ValueError(f"resolution must be a unit count in [1, 2**53), got {resolution}")
+
+
+def _money_units(budget, resolution: int):
+    """Whole money units a budget or budget array buys; knapsack widths and plan caps agree by it."""
+    return np.floor(budget * resolution + _UNIT_SNAP)
+
+
+def _with_margin(bound):
+    """A capacity bound raised past rounding; the pre-skip and the floor stop agree by it."""
+    return bound * (1.0 + 1e-9) + 1e-9
 
 
 @dataclass(frozen=True)
@@ -86,8 +116,7 @@ class OfferMatrix:
         if np.any((snr == 0.0) & (transfer > 0.0)):
             raise ValueError("null offers must carry zero transfer")
         with np.errstate(over="ignore"):  # methods add SNRs per subcarrier, prices overall
-            totals = np.cumsum(transfer.sum(axis=0))
-            sums = {"SNR sum": snr.sum(axis=0), "running total transfer": totals}
+            sums = {"SNR sum": snr.sum(axis=0), "running total transfer": np.cumsum(transfer.sum(axis=0))}
         for what, values in sums.items():
             if not np.all(values < np.inf):
                 n = int(np.argmax(values == np.inf))
@@ -122,15 +151,13 @@ class SelectionProblem:
     resolution: int = 1000
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.budget < math.inf:
-            raise ValueError(f"budget must be finite and non-negative, got {self.budget}")
+        _check_budget(self.budget)
         if self.budget < np.finfo(float).tiny:
             # A budget below the smallest normal float is no budget: it floors
             # to 0 money units, and spends near it are 5e-324 apart, so the
             # relaxation could only spend it rounded, up to twice over.
             object.__setattr__(self, "budget", 0.0)
-        if not 1 <= self.resolution < _EXACT_UNITS:
-            raise ValueError(f"resolution must be a unit count in [1, 2**53), got {self.resolution}")
+        _check_resolution(self.resolution)
         # Prices become whole money units in int64; at 2**53 and above the
         # float product is no longer exact and can overflow the cast.
         with np.errstate(over="ignore"):
@@ -216,10 +243,6 @@ def _result(
     )
 
 
-def _empty_result(offers: OfferMatrix, method: SelectionMethod) -> SelectionResult:
-    return _result(offers, [()] * offers.n, method)
-
-
 def knapsack_01(
     snr_col: np.ndarray,
     transfer_col: np.ndarray,
@@ -238,12 +261,10 @@ def knapsack_01(
     transfers = np.asarray(transfer_col, dtype=float)
     if gammas.shape != transfers.shape or gammas.ndim != 1:
         raise ValueError("snr and transfer columns must be equal-length vectors")
-    if not 0.0 <= sub_budget < math.inf:
-        raise ValueError(f"sub-budget must be finite and non-negative, got {sub_budget}")
-    if not 1 <= resolution < _EXACT_UNITS:
-        raise ValueError(f"resolution must be a unit count in [1, 2**53), got {resolution}")
+    _check_budget(sub_budget, "sub-budget")
+    _check_resolution(resolution)
 
-    units = int(math.floor(sub_budget * resolution + _UNIT_SNAP))
+    units = int(_money_units(sub_budget, resolution))
     weights = _price_units(transfers, resolution)
     usable = np.nonzero((gammas > 0.0) & (weights <= units))[0]
     if usable.size == 0:
@@ -253,7 +274,7 @@ def knapsack_01(
     # took[i, c]: item i improved best[c].  Capacities below an item's
     # weight never take it, so each step touches only best[w:].
     width = units + 1
-    if (usable.size + 16) * width > _MAX_DP_BYTES:
+    if (usable.size + 16) * width > _MAX_ARRAY_BYTES:
         raise ValueError(
             f"knapsack table of {usable.size} usable offers x {width} money units "
             f"needs more than 2**28 bytes; lower the resolution"
@@ -286,8 +307,7 @@ def _price_units(transfers: np.ndarray, resolution: int) -> np.ndarray:
 
 def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
     """Per-subcarrier budget weights: equal, mean-efficiency, or net-efficiency."""
-    if kind not in _SPLIT_KINDS:
-        raise ValueError(f"no weight profile for method {kind}")
+    _split_row(kind)
     if kind is SelectionMethod.ESW:
         return np.ones(offers.n)
     if kind is SelectionMethod.ASW:
@@ -303,9 +323,8 @@ class _SplitPlan(NamedTuple):
     """One row per split, ESW, ASW, NSW.  The bounds order the splits, and
     each row's terms - estimates the knapsacks of its split."""
 
-    totals: list[float]  # each split's weight sum
     sub_budgets: np.ndarray  # (3, N) budget shares
-    caps: np.ndarray  # (3, N) the shares in `knapsack_01`'s money units
+    caps: np.ndarray  # (3, N) the shares in `knapsack_01`'s money units, NaN where weights sum to 0
     terms: np.ndarray  # (3, N) log2(1 + each subcarrier's fractional knapsack optimum)
     estimates: np.ndarray  # (3, N) log2(1 + SNR of the offers that fractional fill buys whole)
     bounds: list[float]  # each split's capacity bound, -inf where its weights overflow
@@ -320,17 +339,17 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
     M*_UNIT_SNAP.  The fractional optimum fills that room in efficiency
     order, the break offer in part; free offers count whole.  A cap of NaN
     (weights summing to zero) buys nothing, not even a free offer: its terms
-    and estimates are 0, as the split returns an empty selection there.  An
-    infinite cap buys every offer.  A split's bound is its terms' sum with
-    margins that absorb rounding, or -inf where its weights overflow, so it
-    never runs.  A term's estimate counts only the offers the fill buys whole.
+    and estimates are 0, as the split takes nothing there.  An infinite cap
+    buys every offer.  A split's bound is its terms' sum with `_with_margin`,
+    or -inf where its weights overflow, so the split refuses to run.  A
+    term's estimate counts only the offers the fill buys whole.
     """
     offers, resolution = problem.offers, problem.resolution
     with np.errstate(over="ignore", invalid="ignore"):  # weight sums of inf or 0, inf shares
         profiles = [weight_profile(offers, kind) for kind in _SPLIT_KINDS]
-        totals = np.array([weights.sum() for weights in profiles])
-        sub_budgets = np.stack(profiles) * problem.budget / totals[:, None]
-        caps = np.floor(sub_budgets * resolution + _UNIT_SNAP)
+        weight_sums = np.array([weights.sum() for weights in profiles])
+        sub_budgets = np.stack(profiles) * problem.budget / weight_sums[:, None]
+        caps = _money_units(sub_budgets, resolution)
         order = offers.efficiency_order, np.arange(offers.n)
         snr, priced = offers.snr[order], offers.transfer[order] * resolution
         # The split's usable offers: their units, ceil(priced - snap), fit the cap.
@@ -345,8 +364,8 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
     # Rows 0-2 sum the fractional fill, rows 3-5 only the offers it buys whole.
     logs = np.log2(1.0 + (np.concatenate((bought, np.floor(bought))) * snr).sum(axis=1))
     terms, estimates = logs[:3], logs[3:]
-    bounds = np.where(totals < math.inf, terms.sum(axis=1) * (1.0 + 1e-9) + 1e-9, -math.inf)
-    return _SplitPlan(totals.tolist(), sub_budgets, caps, terms, estimates, bounds.tolist())
+    bounds = np.where(weight_sums < math.inf, _with_margin(terms.sum(axis=1)), -math.inf)
+    return _SplitPlan(sub_budgets, caps, terms, estimates, bounds.tolist())
 
 
 def weighted_split_selection(
@@ -364,29 +383,25 @@ def weighted_split_selection(
     The split keeps a running upper bound on its capacity: the sum of its
     per-subcarrier fractional-knapsack terms (`_plan_splits`), in which
     each knapsack's exact log2(1 + SNR sum) replaces its subcarrier's term
-    once solved.  Before each knapsack, if bound*(1 + 1e-9) + 1e-9 <
-    `floor`, the split stops and returns what it has: the all-fit
-    subcarriers, the solved ones, and the rest empty.  That selection is
-    feasible and its capacity is below `floor`.  With no floor it never
-    stops.  It solves its knapsacks by descending term - estimate, the
-    plan's guess at each one's drop of the bound, ties in index order, so a
-    losing split crosses `floor` sooner.  Subcarriers are independent, so a
-    split that does not stop returns what it would with no floor.
+    once solved.  Before each knapsack, if `_with_margin(bound)` < `floor`,
+    the split stops and returns what it has: the all-fit subcarriers, the
+    solved ones, and the rest empty.  That selection is feasible and its
+    capacity is below `floor`.  With no floor it never stops.  It solves
+    its knapsacks by descending term - estimate, the plan's guess at each
+    one's drop of the bound, ties in index order, so a losing split crosses
+    `floor` sooner.  Subcarriers are independent, so a split that does not
+    stop returns what it would with no floor.
     """
-    if kind not in _SPLIT_KINDS:
-        raise ValueError(f"no weight profile for method {kind}")
-    offers, plan, row = problem.offers, problem._split_plan, _SPLIT_KINDS.index(kind)
-    total = plan.totals[row]
-    if not total < math.inf:
-        raise ValueError(f"{kind.value} budget weights overflow: their sum is {total}")
-    if total <= 0.0:
-        return _empty_result(offers, kind)
+    row = _split_row(kind)
+    offers, plan = problem.offers, problem._split_plan
+    if plan.bounds[row] == -math.inf:
+        raise ValueError(f"{kind.value} budget weights overflow: their sum is inf")
     resolution, sub_budgets, caps = problem.resolution, plan.sub_budgets[row], plan.caps[row]
     units = _price_units(offers.transfer, resolution)
     usable = (offers.snr > 0.0) & (units <= caps)
-    # Float sums of whole units are exact below 2**53 and stay at or
-    # above it; int64 sums of many prices near 2**53 units would wrap.
-    fits = np.where(usable, units, 0).sum(axis=0, dtype=float) <= caps
+    # Float sums of whole units are exact below 2**53 and stay at or above it; int64 sums of
+    # many prices near 2**53 units would wrap.  A NaN cap fits: nothing under it is usable.
+    fits = ~(np.where(usable, units, 0).sum(axis=0, dtype=float) > caps)
     running = np.where(usable, offers.snr, 0.0).cumsum(axis=0)
     taken = usable & fits
     taken[1:] &= running[1:] > running[:-1]
@@ -400,7 +415,7 @@ def weighted_split_selection(
     if solve.size > 1:  # largest estimated bound drop first; ties in index order
         solve = solve[np.argsort(plan.estimates[row, solve] - plan.terms[row, solve], kind="stable")]
     for n in solve.tolist():
-        if bound * (1.0 + 1e-9) + 1e-9 < floor:
+        if _with_margin(bound) < floor:
             break
         snr_col = offers.snr[:, n]
         subsets[n] = knapsack_01(snr_col, offers.transfer[:, n], sub_budgets[n], resolution)
@@ -599,7 +614,7 @@ def exhaustive_optimum(problem: SelectionProblem) -> SelectionResult:
 
 def offers_to_csv(offers: OfferMatrix) -> str:
     """Offers wire format; `repr` floats make `offers_from_csv` read it back exactly."""
-    lines = ["m,n,gamma_linear,transfer"]
+    lines = [_CSV_HEADER]
     for m in range(offers.m):
         for n in range(offers.n):
             lines.append(
@@ -750,7 +765,7 @@ def offers_from_csv(text: str) -> OfferMatrix:
     error = _repeat_error(text, n_span, cells)
     if error is not None:
         raise error
-    if 2 * 8 * m_max * n_max > _MAX_OFFER_BYTES:
+    if 2 * 8 * m_max * n_max > _MAX_ARRAY_BYTES:
         raise ValueError(
             f"offers span {m_max} relays x {n_max} subcarriers: "
             "their SNR and transfer arrays would exceed 2**28 bytes"
@@ -768,8 +783,8 @@ def offers_from_csv(text: str) -> OfferMatrix:
 
 def selection_to_csv(results: Sequence[SelectionResult], bounds: dict | None = None) -> str:
     """Rows (method, n, selected_m_list, capacity, spend); capacity and spend
-    are the method's totals.  `bounds` adds subset-free rows, e.g. the
-    relaxed upper bound."""
+    are those of the method's whole selection.  `bounds` adds subset-free
+    rows, e.g. the relaxed upper bound."""
     lines = ["method,n,selected_m_list,capacity,spend"]
     for res in results:
         for n, sub in enumerate(res.subsets):

@@ -25,10 +25,14 @@ from .contracts import (
     second_best_menu,
     snr_to_db,
 )
-from .distributions import _MAX_ARRAY_BYTES, TypeDistribution, TypeGrid, sample_type_vector
+from .distributions import (
+    _MAX_ARRAY_BYTES, TypeDistribution, TypeGrid, _check_integer, sample_type_vector
+)
 from .selection import (
     OfferMatrix,
     SelectionProblem,
+    _check_budget,
+    _check_resolution,
     best_snr_baseline,
     overall_heuristic,
     relaxed_upper_bound,
@@ -79,27 +83,28 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.relays, list):
-            object.__setattr__(self, "relays", tuple(int(x) for x in self.relays))
+            object.__setattr__(self, "relays", tuple(self.relays))
         if isinstance(self.budget, list):
             object.__setattr__(self, "budget", tuple(float(x) for x in self.budget))
+        for name in ("quant", "subcarriers", "trials", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.quant < 1 or self.subcarriers < 1:
             raise ValueError("quantization factor and subcarrier count must be >= 1")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
-        if self.resolution < 1:
-            raise ValueError("resolution must be >= 1")
+        _check_resolution(self.resolution)
         _check_cost(self.cost_coeff)
         for m in self.relay_sweep:
+            _check_integer("relay count", m)
             if m < 0:
                 raise ValueError("relay count must be non-negative")
         for b in self.budget_sweep:
-            if not 0.0 <= b < math.inf:
-                raise ValueError(f"budget must be finite and non-negative, got {b}")
+            _check_budget(b)
 
     @property
     def relay_sweep(self) -> tuple[int, ...]:
         r = self.relays
-        return (r,) if isinstance(r, int) else tuple(int(x) for x in r)
+        return (r,) if np.ndim(r) == 0 else tuple(r)
 
     @property
     def budget_sweep(self) -> tuple[float, ...]:
@@ -228,7 +233,7 @@ def simulate_round(
 def _trial_rng(seed: int, relays: int, budget: float, trial: int) -> np.random.Generator:
     # Stable per-cell, per-trial stream: sweep cells are independently
     # reproducible and shared across menu/information variants.
-    key = [seed & 0xFFFFFFFFFFFFFFFF, relays, int(round(budget * 1e6)), trial]
+    key = [int(seed) & 0xFFFFFFFFFFFFFFFF, relays, int(round(budget * 1e6)), trial]
     return np.random.default_rng(np.random.SeedSequence(key))
 
 

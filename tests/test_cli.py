@@ -518,6 +518,14 @@ def test_simulate_non_finite_values_are_named_errors(capsys, flag, value, messag
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command", ["contracts", "simulate"])
+@pytest.mark.parametrize("resolution", ["0", "9007199254740992"])
+def test_config_resolution_outside_1_to_2_to_the_53_is_a_named_error(command, resolution):
+    code, out, err = run_cli([command, "--trials", "1", "--resolution", resolution])
+    assert (code, out) == (1, "")
+    assert err == f"error: resolution must be a unit count in [1, 2**53), got {resolution}\n"
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from relaycontracts import (
     ExperimentConfig,
     Information,
     MenuKind,
+    OfferMatrix,
     RoundResult,
     SelectionProblem,
     TypeDistribution,
@@ -20,7 +22,9 @@ from relaycontracts import (
     efficient_offers,
     first_best_contract,
     first_best_menu,
+    knapsack_01,
     overall_heuristic,
+    quantize_types,
     reproduce_table3,
     run_experiment,
     second_best_menu,
@@ -280,6 +284,36 @@ def test_config_validation():
 def test_config_rejects_non_finite_budget_and_cost(field, value):
     with pytest.raises(ValueError, match="must be finite"):
         ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("build, kwargs, message", [
+    pytest.param(ExperimentConfig, {"quant": 2.5}, "quant must be an integer", id="quant"),
+    pytest.param(ExperimentConfig, {"quant": True}, "quant must be an integer", id="quant-bool"),
+    pytest.param(ExperimentConfig, {"subcarriers": 2.5}, "subcarriers must be an integer", id="subcarriers"),
+    pytest.param(ExperimentConfig, {"trials": 1.5}, "trials must be an integer", id="trials"),
+    pytest.param(ExperimentConfig, {"seed": 1.5}, "seed must be an integer", id="seed"),
+    pytest.param(ExperimentConfig, {"relays": (2.5,)}, "relay count must be an integer", id="relays"),
+    pytest.param(ExperimentConfig, {"relays": True}, "relay count must be an integer", id="relays-bool"),
+    pytest.param(ExperimentConfig, {"resolution": 2.5}, "resolution must be an integer", id="resolution"),
+    pytest.param(ExperimentConfig, {"resolution": 2**53}, r"resolution must be a unit count in \[1, 2\*\*53\)",
+                 id="resolution-2**53"),
+    pytest.param(quantize_types, {"dist": TypeDistribution.uniform(50.0, 300.0), "k": 2.5},
+                 "quantization factor must be an integer", id="quantize_types"),
+    pytest.param(SelectionProblem, {"offers": OfferMatrix(np.ones((1, 1)), np.ones((1, 1))), "budget": 1.0,
+                                    "resolution": 2.5}, "resolution must be an integer", id="problem"),
+    pytest.param(knapsack_01, {"snr_col": np.ones(1), "transfer_col": np.ones(1), "sub_budget": 1.0,
+                               "resolution": 1000.0}, "resolution must be an integer", id="knapsack"),
+])
+def test_counts_must_be_integers(build, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["quant", "subcarriers", "trials", "seed", "resolution", "relays"])
+def test_config_takes_numpy_integer_counts(field):
+    config = small_config(trials=2, quant=3)
+    numpy_config = replace(config, **{field: np.int64(getattr(config, field))})
+    assert run_experiment(numpy_config).to_csv() == run_experiment(config).to_csv()
 
 
 @pytest.mark.parametrize("kind", list(MenuKind))
