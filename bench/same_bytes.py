@@ -7,8 +7,9 @@ of `relaycontracts` commands on the parent and on the working tree, and
 compares every output file byte for byte:
 
 - `simulate` on the configurations of acceptance criterion 7 (the relay x
-  budget sweep; quant 3, 5 and 20; complete information; first-best menus)
-  and on the benchmark's fine-grid cell (quant 1000, 32 subcarriers, 3
+  budget sweep, also at resolutions 1 and 10, whose coarse money units give
+  many zero-unit prices and exact ties; quant 3, 5 and 20; complete
+  information; first-best menus) and on the benchmark's fine-grid cell (quant 1000, 32 subcarriers, 3
   relays, budget 1), seed 12345, at `--trials` per cell (default TRIALS;
   criterion 7 runs 1000);
 - `simulate` and `contracts` on a `--config` file whose empirical marginal
@@ -17,7 +18,7 @@ compares every output file byte for byte:
   `contracts` with one relay count and one budget, which it ignores;
 - `select` on CSVS generated offers files (relays 1-32, subcarriers
   1-64, declined and free offers, integer prices with exact ties), each at
-  several budgets and two resolutions;
+  several budgets and two resolutions, and at budget 0;
 - `select` on the EDGE_OFFERS files at one or two budgets each: ASW and
   NSW weights that overflow, so those splits drop out; all-free offers,
   whose zero ASW and NSW weight sums give NaN caps; offers on which a
@@ -64,6 +65,8 @@ SEED = 2024  # seed of the offers files
 
 SIMULATE = {
     "sweep": ["--relays", "2,6,10,14,18", "--budget", "8,16,24"],
+    "sweep_res1": ["--relays", "2,6,10,14,18", "--budget", "8,16,24", "--resolution", "1"],
+    "sweep_res10": ["--relays", "2,6,10,14,18", "--budget", "8,16,24", "--resolution", "10"],
     "quant3": ["--relays", "10", "--budget", "16", "--quant", "3"],
     "quant5": ["--relays", "10", "--budget", "16", "--quant", "5"],
     "quant20": ["--relays", "10", "--budget", "16", "--quant", "20"],
@@ -140,7 +143,8 @@ def commands(work: Path, trials: int) -> dict[str, list[str]]:
                     "select", str(path), "--budget", repr(share * total),
                     "--resolution", str(resolution),
                 ]
-        runs[f"select_{i:02d}_budget1"] = ["select", str(path), "--budget", "1"]
+        for budget in ("0", "1"):
+            runs[f"select_{i:02d}_budget{budget}"] = ["select", str(path), "--budget", budget]
     for name, (lines, budgets) in EDGE_OFFERS.items():
         path = work / f"offers_{name}.csv"
         path.write_text("\n".join(["m,n,gamma_linear,transfer", *lines]) + "\n")

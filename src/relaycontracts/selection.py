@@ -202,30 +202,34 @@ def _sequential_sum(values) -> float:
     return total
 
 
-def _capacity(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> float:
-    return _sequential_sum(
-        math.log2(1.0 + _sequential_sum(col[m] for m in sub))
-        for col, sub in zip(offers.snr.T.tolist(), subsets)
-    )
-
-
-def _spend(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> float:
-    return _sequential_sum(
-        _sequential_sum(col[m] for m in sub)
-        for col, sub in zip(offers.transfer.T.tolist(), subsets)
-    )
+def _totals(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> tuple[float, float]:
+    """Capacity and spend in one pass; every sum adds left to right, as `_sequential_sum` does."""
+    width = offers.n
+    flat = np.array([m * width + n for n, sub in enumerate(subsets) for m in sub], dtype=np.intp)
+    snrs, prices = offers.snr.take(flat).tolist(), offers.transfer.take(flat).tolist()
+    cap = spend = 0.0
+    i = 0
+    for sub in subsets:
+        snr = price = 0.0
+        for _ in sub:
+            snr += snrs[i]
+            price += prices[i]
+            i += 1
+        cap += math.log2(1.0 + snr)
+        spend += price
+    return cap, spend
 
 
 def capacity(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> float:
     """Total capacity sum_n log2(1 + sum of selected SNRs), bits/symbol."""
     _check_subsets(offers, subsets)
-    return _capacity(offers, subsets)
+    return _totals(offers, subsets)[0]
 
 
 def total_spend(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> float:
     """Total transfers paid for the selection."""
     _check_subsets(offers, subsets)
-    return _spend(offers, subsets)
+    return _totals(offers, subsets)[1]
 
 
 def _result(
@@ -235,12 +239,8 @@ def _result(
 ) -> SelectionResult:
     # The library built these subsets itself, so they skip `_check_subsets`.
     clean = tuple(tuple(sorted(sub)) for sub in subsets)
-    return SelectionResult(
-        subsets=clean,
-        capacity=_capacity(offers, clean),
-        spend=_spend(offers, clean),
-        method=method,
-    )
+    cap, spend = _totals(offers, clean)
+    return SelectionResult(subsets=clean, capacity=cap, spend=spend, method=method)
 
 
 def knapsack_01(
@@ -253,9 +253,10 @@ def knapsack_01(
 
     Transfers round up and the budget rounds down at `resolution` units per
     1.0 of money, so the selection never overdraws the true budget.  Returns
-    the selected relay indices in ascending order.  Raises ValueError rather
-    than allocate more than 2**28 bytes: the (usable offers x width) bool
-    table plus two float rows of the width.
+    the selected relay indices in ascending order.  Raises ValueError on a
+    price that is not finite and non-negative, and rather than allocate more
+    than 2**28 bytes: the (usable offers x width) bool table plus two float
+    rows of the width.
     """
     gammas = np.asarray(snr_col, dtype=float)
     transfers = np.asarray(transfer_col, dtype=float)
@@ -265,26 +266,32 @@ def knapsack_01(
     _check_resolution(resolution)
 
     units = int(_money_units(sub_budget, resolution))
-    weights = _price_units(transfers, resolution)
-    usable = np.nonzero((gammas > 0.0) & (weights <= units))[0]
-    if usable.size == 0:
+    items, item_weights, item_gammas = [], [], []  # the usable offers
+    for m, (g, t, w) in enumerate(
+        zip(gammas.tolist(), transfers.tolist(), _price_units(transfers, resolution).tolist())
+    ):
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"offer {m} price must be finite and non-negative, got {t}")
+        if g > 0.0 and w <= units:
+            items.append(m)
+            item_weights.append(int(w))
+            item_gammas.append(g)
+    if not items:
         return []
 
     # best[c]: top SNR sum within capacity c over the items seen so far;
     # took[i, c]: item i improved best[c].  Capacities below an item's
     # weight never take it, so each step touches only best[w:].
     width = units + 1
-    if (usable.size + 16) * width > _MAX_ARRAY_BYTES:
+    if (len(items) + 16) * width > _MAX_ARRAY_BYTES:
         raise ValueError(
-            f"knapsack table of {usable.size} usable offers x {width} money units "
+            f"knapsack table of {len(items)} usable offers x {width} money units "
             f"needs more than 2**28 bytes; lower the resolution"
         )
     best = np.zeros(width)
     scratch = np.empty(width)
-    took = np.zeros((usable.size, width), dtype=bool)
-    items = usable.tolist()
-    item_weights = weights[usable].tolist()
-    for i, (w, g) in enumerate(zip(item_weights, gammas[usable].tolist())):
+    took = np.zeros((len(items), width), dtype=bool)
+    for i, (w, g) in enumerate(zip(item_weights, item_gammas)):
         reach = best[w:]
         cand = np.add(best[: width - w], g, out=scratch[: width - w])
         np.greater(cand, reach, out=took[i, w:])
@@ -292,7 +299,7 @@ def knapsack_01(
 
     chosen: list[int] = []
     remaining = units
-    for i in range(usable.size - 1, -1, -1):
+    for i in range(len(items) - 1, -1, -1):
         if took[i, remaining]:
             chosen.append(items[i])
             remaining -= item_weights[i]
@@ -301,8 +308,8 @@ def knapsack_01(
 
 
 def _price_units(transfers: np.ndarray, resolution: int) -> np.ndarray:
-    """Transfers in whole money units, rounded up as `knapsack_01` charges them."""
-    return np.maximum(np.ceil(transfers * resolution - _UNIT_SNAP).astype(np.int64), 0)
+    """Non-negative transfers in whole money units (exact float integers), rounded up as charged."""
+    return np.ceil(transfers * resolution - _UNIT_SNAP)
 
 
 def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
@@ -399,9 +406,9 @@ def weighted_split_selection(
     resolution, sub_budgets, caps = problem.resolution, plan.sub_budgets[row], plan.caps[row]
     units = _price_units(offers.transfer, resolution)
     usable = (offers.snr > 0.0) & (units <= caps)
-    # Float sums of whole units are exact below 2**53 and stay at or above it; int64 sums of
-    # many prices near 2**53 units would wrap.  A NaN cap fits: nothing under it is usable.
-    fits = ~(np.where(usable, units, 0).sum(axis=0, dtype=float) > caps)
+    # Float sums of whole units are exact below 2**53 and stay at or above it, where int64
+    # sums of many prices near 2**53 units would wrap.  A NaN cap fits: nothing under it is usable.
+    fits = ~(np.where(usable, units, 0.0).sum(axis=0) > caps)
     running = np.where(usable, offers.snr, 0.0).cumsum(axis=0)
     taken = usable & fits
     taken[1:] &= running[1:] > running[:-1]
@@ -787,11 +794,8 @@ def selection_to_csv(results: Sequence[SelectionResult], bounds: dict | None = N
     rows, e.g. the relaxed upper bound."""
     lines = ["method,n,selected_m_list,capacity,spend"]
     for res in results:
-        for n, sub in enumerate(res.subsets):
-            picks = ";".join(str(m) for m in sub)
-            lines.append(
-                f"{res.method.value},{n},{picks},{res.capacity:.12g},{res.spend:.12g}"
-            )
+        head, tail = f"{res.method.value},", f",{res.capacity:.12g},{res.spend:.12g}"
+        lines += [f"{head}{n},{';'.join(map(str, sub))}{tail}" for n, sub in enumerate(res.subsets)]
     for name, value in (bounds or {}).items():
         lines.append(f"{name},,,{value:.12g},")
     return "\n".join(lines) + "\n"

@@ -82,10 +82,13 @@ class ExperimentConfig:
     resolution: int = 1000
 
     def __post_init__(self) -> None:
-        if isinstance(self.relays, list):
-            object.__setattr__(self, "relays", tuple(self.relays))
-        if isinstance(self.budget, list):
-            object.__setattr__(self, "budget", tuple(float(x) for x in self.budget))
+        for name in ("relays", "budget"):  # as tuples or scalars, configs compare and hash
+            value = getattr(self, name)
+            if isinstance(value, (list, np.ndarray)):
+                object.__setattr__(self, name, tuple(value) if np.ndim(value) else value[()])
+        for b in self.budget if isinstance(self.budget, tuple) else (self.budget,):
+            if isinstance(b, (str, bytes, bool, np.bool_)):
+                raise ValueError(f"budget must be a number, got {b!r}")
         for name in ("quant", "subcarriers", "trials", "seed"):
             _check_integer(name, getattr(self, name))
         if self.quant < 1 or self.subcarriers < 1:
@@ -109,7 +112,7 @@ class ExperimentConfig:
     @property
     def budget_sweep(self) -> tuple[float, ...]:
         b = self.budget
-        return (b,) if isinstance(b, (int, float)) else tuple(float(x) for x in b)
+        return (float(b),) if np.ndim(b) == 0 else tuple(float(x) for x in b)
 
 
 @dataclass(frozen=True)

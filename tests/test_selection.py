@@ -647,6 +647,38 @@ def reference_totals(offers, subsets):
     return cap, spend
 
 
+def reference_sequential_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def reference_capacity(offers, subsets):
+    return reference_sequential_sum(
+        math.log2(1.0 + reference_sequential_sum(col[m] for m in sub))
+        for col, sub in zip(offers.snr.T.tolist(), subsets)
+    )
+
+
+def reference_spend(offers, subsets):
+    return reference_sequential_sum(
+        reference_sequential_sum(col[m] for m in sub)
+        for col, sub in zip(offers.transfer.T.tolist(), subsets)
+    )
+
+
+def reference_selection_rows(results):
+    lines = []
+    for res in results:
+        for n, sub in enumerate(res.subsets):
+            picks = ";".join(str(m) for m in sub)
+            lines.append(
+                f"{res.method.value},{n},{picks},{res.capacity:.12g},{res.spend:.12g}"
+            )
+    return lines
+
+
 def reference_split(problem, kind):
     offers = problem.offers
     weights = weight_profile(offers, kind)
@@ -810,6 +842,85 @@ def test_knapsack_matches_reference_dp():
         assert knapsack_01(gammas, transfers, budget, resolution) == reference_knapsack(
             gammas, transfers, budget, resolution
         )
+
+
+def random_selection(rng, offers):
+    """Each subcarrier's offers in random order, some dropped; empty ones too."""
+    return [
+        tuple(m for m in rng.permutation(offers.m).tolist() if rng.random() < 0.6)
+        for _ in range(offers.n)
+    ]
+
+
+def totals_case_offers(rng):
+    """Random offers with M=0, declined and free offers, and a 1e-17 SNR after a 100."""
+    m, n = int(rng.integers(0, 13)), int(rng.integers(1, 21))
+    snr = rng.uniform(0.5, 200.0, (m, n)) * (rng.random((m, n)) > 0.3)
+    transfer = rng.uniform(0.05, 1.3, (m, n)) * (snr > 0.0)
+    transfer[rng.random((m, n)) < 0.2] = 0.0
+    if m >= 2 and rng.random() < 0.4:
+        j = int(rng.integers(n))
+        snr[:2, j], transfer[:2, j] = (100.0, 1e-17), (1.0, 0.5)
+    return OfferMatrix(snr, transfer)
+
+
+def test_totals_match_the_frozen_capacity_and_spend_bit_for_bit():
+    rng = np.random.default_rng(6060)
+    for _ in range(800):
+        offers = totals_case_offers(rng)
+        subsets = random_selection(rng, offers)
+        cap, spend = reference_capacity(offers, subsets), reference_spend(offers, subsets)
+        assert tuple(x.hex() for x in selection_module._totals(offers, subsets)) == (cap.hex(), spend.hex())
+        assert (capacity(offers, subsets).hex(), total_spend(offers, subsets).hex()) == (cap.hex(), spend.hex())
+    # The 1e-17 after the 100 is lost in the subcarrier's SNR sum, in that order only.
+    offers = offers_1d([100.0, 1e-17], [1.0, 0.5])
+    assert capacity(offers, [(0, 1)]) == math.log2(101.0) == reference_capacity(offers, [(0, 1)])
+    assert selection_module._totals(OfferMatrix(np.zeros((0, 3)), np.zeros((0, 3))), [()] * 3) == (0.0, 0.0)
+
+
+def test_select_csv_matches_the_frozen_row_loop():
+    rng = np.random.default_rng(6161)
+    for _ in range(200):
+        offers = totals_case_offers(rng)
+        problem = SelectionProblem(offers, float(rng.uniform(0.0, 3.0)), int(rng.choice([1, 10, 1000])))
+        results = [overall_heuristic(problem), best_snr_baseline(problem)]
+        cap, spend = selection_module._totals(offers, random_selection(rng, offers))
+        results.append(selection_module.SelectionResult(
+            tuple(tuple(sub) for sub in random_selection(rng, offers)), cap, spend, SelectionMethod.SSCPA
+        ))
+        bound = relaxed_upper_bound(problem)
+        expected = ["method,n,selected_m_list,capacity,spend", *reference_selection_rows(results),
+                    f"Relaxed,,,{bound:.12g},"]
+        assert selection_to_csv(results, bounds={"Relaxed": bound}) == "\n".join(expected) + "\n"
+
+
+def test_knapsack_matches_reference_dp_on_edge_columns():
+    rng = np.random.default_rng(7070)
+    for _ in range(1500):
+        m = int(rng.integers(1, 10))
+        resolution = int(rng.choice([1, 10, 1000]))
+        gammas = rng.uniform(0.5, 50.0, m) * (rng.random(m) > 0.15)
+        units = rng.integers(0, 6, m).astype(float)
+        transfers = units / resolution  # exact unit multiples, zero prices among them
+        hair = rng.random(m) < 0.3  # a price times resolution a hair above an integer
+        transfers[hair] = np.nextafter(transfers[hair], math.inf)
+        transfers[rng.random(m) < 0.1] += 0.5e-9 / resolution
+        transfers[rng.random(m) < 0.1] += 2e-9 / resolution
+        transfers[gammas == 0.0] = 0.0
+        budget = float(rng.choice([float(rng.integers(0, 8)) / resolution, float(transfers.max())]))
+        if rng.random() < 0.3:
+            budget = float(transfers.sum())  # an offer or all of them weigh the whole sub-budget
+        assert knapsack_01(gammas, transfers, budget, resolution) == reference_knapsack(
+            gammas, transfers, budget, resolution
+        )
+
+
+@pytest.mark.parametrize("price", [math.inf, math.nan, -3.0])
+def test_knapsack_refuses_a_non_finite_or_negative_price(price):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"offer 1 price must be finite and non-negative, got"):
+            knapsack_01(np.array([5.0, 4.0]), np.array([0.5, price]), 1.0, 1000)
 
 
 def test_selection_methods_match_reference_implementations():

@@ -274,6 +274,27 @@ def test_config_validation():
     assert list_config.budget_sweep == (1.0,)
 
 
+def test_config_stores_list_and_array_sweeps_as_tuples():
+    configs = [ExperimentConfig(relays=np.array([2, 3]), budget=np.array([8.0, 16.0])) for _ in range(2)]
+    assert configs[0] == configs[1] and hash(configs[0]) == hash(configs[1])
+    assert configs[0].relays == (2, 3) and configs[0].budget == (8.0, 16.0)
+    assert configs[0] == ExperimentConfig(relays=[2, 3], budget=[8.0, 16.0])
+    assert configs[0].relay_sweep == (2, 3) and configs[0].budget_sweep == (8.0, 16.0)
+
+
+@pytest.mark.parametrize("budget", [np.float32(2.5), np.array(2.5), np.int64(3)])
+def test_config_takes_a_numpy_scalar_budget_as_one_cell(budget):
+    config = ExperimentConfig(budget=budget)
+    assert config.budget_sweep == (float(budget),) and float(config.budget) == float(budget)
+    assert hash(config) == hash(ExperimentConfig(budget=budget))
+
+
+@pytest.mark.parametrize("budget", ["12", True, np.bool_(False), ("1", 2.0), [8.0, True]])
+def test_config_refuses_a_str_or_bool_budget(budget):
+    with pytest.raises(ValueError, match="budget must be a number, got"):
+        ExperimentConfig(budget=budget)
+
+
 @pytest.mark.parametrize("field, value", [
     ("budget", math.nan),
     ("budget", math.inf),
