@@ -9,9 +9,9 @@ compares every output file byte for byte:
 - `simulate` on the configurations of acceptance criterion 7 (the relay x
   budget sweep, also at resolutions 1 and 10, whose coarse money units give
   many zero-unit prices and exact ties; quant 3, 5 and 20; complete
-  information; first-best menus) and on the benchmark's fine-grid cell (quant 1000, 32 subcarriers, 3
-  relays, budget 1), seed 12345, at `--trials` per cell (default TRIALS;
-  criterion 7 runs 1000);
+  information; first-best menus) and on the benchmark's fine-grid cell
+  (quant 1000, 32 subcarriers, 3 relays, budget 1), seed 12345, at
+  `--trials` per cell (default TRIALS; criterion 7 runs 1000);
 - `simulate` and `contracts` on a `--config` file whose empirical marginal
   makes the screening menu pool (POOLED), at quant 10, 20 and 100;
 - `simulate` on a `--config` file of JSON scalars (SCALARS), and

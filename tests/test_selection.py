@@ -869,25 +869,26 @@ def test_totals_match_the_frozen_capacity_and_spend_bit_for_bit():
     for _ in range(800):
         offers = totals_case_offers(rng)
         subsets = random_selection(rng, offers)
-        cap, spend = reference_capacity(offers, subsets), reference_spend(offers, subsets)
-        assert tuple(x.hex() for x in selection_module._totals(offers, subsets)) == (cap.hex(), spend.hex())
-        assert (capacity(offers, subsets).hex(), total_spend(offers, subsets).hex()) == (cap.hex(), spend.hex())
+        expected = (reference_capacity(offers, subsets).hex(), reference_spend(offers, subsets).hex())
+        assert tuple(x.hex() for x in selection_module._totals(offers, subsets)) == expected
+        assert (capacity(offers, subsets).hex(), total_spend(offers, subsets).hex()) == expected
     # The 1e-17 after the 100 is lost in the subcarrier's SNR sum, in that order only.
     offers = offers_1d([100.0, 1e-17], [1.0, 0.5])
     assert capacity(offers, [(0, 1)]) == math.log2(101.0) == reference_capacity(offers, [(0, 1)])
-    assert selection_module._totals(OfferMatrix(np.zeros((0, 3)), np.zeros((0, 3))), [()] * 3) == (0.0, 0.0)
+    no_relays = OfferMatrix(np.zeros((0, 3)), np.zeros((0, 3)))
+    assert selection_module._totals(no_relays, [()] * 3) == (0.0, 0.0)
 
 
 def test_select_csv_matches_the_frozen_row_loop():
     rng = np.random.default_rng(6161)
     for _ in range(200):
         offers = totals_case_offers(rng)
-        problem = SelectionProblem(offers, float(rng.uniform(0.0, 3.0)), int(rng.choice([1, 10, 1000])))
+        resolution = int(rng.choice([1, 10, 1000]))
+        problem = SelectionProblem(offers, float(rng.uniform(0.0, 3.0)), resolution)
         results = [overall_heuristic(problem), best_snr_baseline(problem)]
-        cap, spend = selection_module._totals(offers, random_selection(rng, offers))
-        results.append(selection_module.SelectionResult(
-            tuple(tuple(sub) for sub in random_selection(rng, offers)), cap, spend, SelectionMethod.SSCPA
-        ))
+        subsets = tuple(random_selection(rng, offers))
+        cap, spend = selection_module._totals(offers, subsets)
+        results.append(selection_module.SelectionResult(subsets, cap, spend, SelectionMethod.SSCPA))
         bound = relaxed_upper_bound(problem)
         expected = ["method,n,selected_m_list,capacity,spend", *reference_selection_rows(results),
                     f"Relaxed,,,{bound:.12g},"]
@@ -913,6 +914,12 @@ def test_knapsack_matches_reference_dp_on_edge_columns():
         assert knapsack_01(gammas, transfers, budget, resolution) == reference_knapsack(
             gammas, transfers, budget, resolution
         )
+
+
+def test_knapsack_never_takes_an_offer_whose_units_overflow():
+    # 1e308 * 1000 is inf units: the offer is never usable, not free.
+    with np.errstate(over="ignore"):
+        assert knapsack_01(np.array([5.0]), np.array([1e308]), 1.0, 1000) == []
 
 
 @pytest.mark.parametrize("price", [math.inf, math.nan, -3.0])

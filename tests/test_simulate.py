@@ -275,7 +275,9 @@ def test_config_validation():
 
 
 def test_config_stores_list_and_array_sweeps_as_tuples():
-    configs = [ExperimentConfig(relays=np.array([2, 3]), budget=np.array([8.0, 16.0])) for _ in range(2)]
+    configs = [
+        ExperimentConfig(relays=np.array([2, 3]), budget=np.array([8.0, 16.0])) for _ in range(2)
+    ]
     assert configs[0] == configs[1] and hash(configs[0]) == hash(configs[1])
     assert configs[0].relays == (2, 3) and configs[0].budget == (8.0, 16.0)
     assert configs[0] == ExperimentConfig(relays=[2, 3], budget=[8.0, 16.0])
