@@ -10,10 +10,12 @@ compares every output file byte for byte:
   budget sweep, also at resolutions 1 and 10, whose coarse money units give
   many zero-unit prices and exact ties; quant 3, 5 and 20; complete
   information; first-best menus) and on the benchmark's fine-grid cell
-  (quant 1000, 32 subcarriers, 3 relays, budget 1), seed 12345, at
-  `--trials` per cell (default TRIALS; criterion 7 runs 1000);
+  (quant 1000, 32 subcarriers, 3 relays, budget 1) with its second-best
+  and its first-best menu, seed 12345, at `--trials` per cell (default
+  TRIALS; criterion 7 runs 1000);
 - `simulate` and `contracts` on a `--config` file whose empirical marginal
-  makes the screening menu pool (POOLED), at quant 10, 20 and 100;
+  makes the screening menu pool (POOLED), at quant 10, 20, 100 and 1000
+  (whose best responses collapse the pooled runs of equal pairs);
 - `simulate` on a `--config` file of JSON scalars (SCALARS), and
   `contracts` with one relay count and one budget, which it ignores;
 - `select` on CSVS generated offers files (relays 1-32, subcarriers
@@ -73,11 +75,14 @@ SIMULATE = {
     "complete": ["--relays", "10", "--budget", "8,24", "--information", "complete"],
     "firstbest": ["--relays", "10", "--budget", "8,24", "--menu", "first_best"],
     "fine_quant": ["--quant", "1000", "--subcarriers", "32", "--relays", "3", "--budget", "1"],
+    "fine_quant_firstbest": [
+        "--quant", "1000", "--subcarriers", "32", "--relays", "3", "--budget", "1", "--menu", "first_best"
+    ],
 }
 # A marginal with almost no mass on [100, 200]: its pointwise maximizers
 # decrease there, so the screening menu pools at every quant below.
 POOLED = {"dist": {"kind": "empirical", "cdf_points": [[50, 0], [100, 0.49], [200, 0.5], [300, 1]]}}
-POOLED_QUANTS = (10, 20, 100)
+POOLED_QUANTS = (10, 20, 100, 1000)
 # One sweep cell given as JSON scalars rather than lists.
 SCALARS = {"relays": 10, "budget": 16, "quant": 5}
 # Offers lines of the split plan's edge rows, and the budgets each runs at.

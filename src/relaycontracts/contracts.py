@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,12 @@ __all__ = [
 
 _TWO_LN2 = 2.0 * math.log(2.0)
 MONEY_TOL = 1e-9
+# A best response whose full (..., K) utility buffer would hold this many
+# values or more scores bracket windows, where the menu has a bracket table.
+# The measured crossover lies at 2,000-5,000 values for 32-288 types: below
+# it the window's fixed cost per call exceeds the full rule's.
+_WINDOW_MIN_VALUES = 8192
+_EPS = 2.0**-52
 
 
 def _check_cost(cost_coeff: float) -> None:
@@ -85,6 +92,12 @@ class ContractMenu:
     def pairs(self) -> tuple[ContractPair, ...]:
         """The menu as K `ContractPair`s, lowest type first."""
         return tuple(map(ContractPair, self.snrs.tolist(), self.transfers.tolist()))
+
+    @property
+    def _brackets(self) -> _Brackets | None:  # built on first use, once per menu
+        if "_bracket_table" not in self.__dict__:
+            object.__setattr__(self, "_bracket_table", _bracket_table(self))
+        return self.__dict__["_bracket_table"]
 
 
 @dataclass(frozen=True)
@@ -257,7 +270,7 @@ def select_best_contract(menu: ContractMenu, theta: float) -> int | None:
     None means every pair yields strictly negative utility, so the relay
     keeps the null contract (0, 0).  Ties break toward the lowest index.
     """
-    best = int(_best_response(menu.snrs, menu.transfers, menu.cost_coeff, theta))
+    best = int(_respond(menu, theta))
     return None if best < 0 else best
 
 
@@ -282,6 +295,105 @@ def _best_response(snrs: np.ndarray, transfers: np.ndarray, cost_coeff: float, t
     best = utilities.argmax(axis=-1)
     keep = np.take_along_axis(utilities, best[..., None], axis=-1)[..., 0] >= 0.0
     return np.where(keep, best, -1)
+
+
+class _Brackets(NamedTuple):
+    """A menu's single-crossing thresholds and its distinct pairs, padded for five-pair windows.
+
+    Bracket b holds the types between thresholds b-1 and b; its window is
+    entries b to b+4 of each padded array, the distinct pairs b-2 to b+2.
+    """
+
+    thresholds: np.ndarray  # (L-1,) the types at which one distinct pair overtakes the one below
+    costs: np.ndarray  # (L+4,) c*snr of the L distinct pairs, two sentinels of 0 at each end
+    transfers: np.ndarray  # (L+4,) their transfers, sentinels -inf
+    index: np.ndarray  # (L+4,) each distinct pair's first index in the menu, sentinels -1
+    top_cost: float  # the largest c*snr
+    top_transfer: float  # the largest transfer
+
+
+_WINDOW = np.arange(5)  # a bracket's window, as offsets into the padded arrays
+
+
+def _bracket_table(menu: ContractMenu) -> _Brackets | None:
+    """The bracket table of `menu`, or None where single-peakedness is not certified.
+
+    Runs of equal consecutive (c*snr, transfer) pairs, with c*snr formed as
+    `_utilities` forms it, collapse to their first index.  Between the L
+    pairs left, pair j+1 beats pair j exactly above the threshold
+    d(c*snr)/d(transfer).  If every transfer difference is positive, the
+    first threshold is a normal float, the last is finite, and each is at
+    least (1 + 8 eps) times the one before, then every cost difference is
+    positive, every computed threshold is within 2 eps of its real value,
+    and the real thresholds increase.  So the real utilities of these
+    pairs are single-peaked in the pair index for every type, with the
+    peak at most one bracket from the one `searchsorted` finds.  A
+    non-monotone menu fails the test.
+    """
+    costs, transfers = menu.cost_coeff * menu.snrs, menu.transfers
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf and NaN fail below
+        d_cost, d_transfer = np.diff(costs), np.diff(transfers)
+        step = (d_cost != 0.0) | (d_transfer != 0.0)  # False inside a run of equal pairs
+        d_cost, d_transfer = d_cost[step], d_transfer[step]
+        thresholds = d_cost / d_transfer
+    if thresholds.size and not (
+        np.all(d_transfer > 0.0)
+        and thresholds[0] >= np.finfo(float).tiny
+        and thresholds[-1] < math.inf
+        and np.all(thresholds[1:] >= thresholds[:-1] * (1.0 + 8.0 * _EPS))
+    ):
+        return None
+    index = np.flatnonzero(np.append(True, step))
+    return _Brackets(
+        thresholds,
+        np.concatenate(([0.0, 0.0], costs[index], [0.0, 0.0])),
+        np.concatenate(([-math.inf, -math.inf], transfers[index], [-math.inf, -math.inf])),
+        np.concatenate(([-1, -1], index, [-1, -1])),
+        float(costs[-1]),
+        float(transfers[-1]),
+    )
+
+
+def _respond(menu: ContractMenu, types):
+    """`_best_response` to `menu` at every type in `types`, equal to it bit for bit.
+
+    Where the full rule's (..., K) buffer would hold at least
+    _WINDOW_MIN_VALUES values and the menu has a bracket table, each type
+    scores only the five pairs around its bracket, with the full rule's own
+    float expression t - (c*snr)/theta.  Each computed utility is within
+    E = 4 eps (max t + max c*snr / min theta) + 4 * 2**-1074 of its real
+    value, so where both window ends lie more than 3E below the window's
+    maximum, single-peakedness puts every pair outside the window strictly
+    below that maximum: the first maximum in the window is the full rule's
+    first maximum, and the null-contract test reads the same value.  Rows
+    that miss the margin (utilities flat within rounding across the
+    window, or all rows of a call whose smallest type makes E vast) go
+    through the full rule, and so does a whole call in which c*snr/theta
+    can overflow.
+    """
+    types = np.asarray(types, dtype=float)
+    brackets = menu._brackets if types.size * menu.snrs.size >= _WINDOW_MIN_VALUES else None
+    if brackets is None:
+        return _best_response(menu.snrs, menu.transfers, menu.cost_coeff, types)
+    flat = types.ravel()
+    low = float(flat.min())
+    if not low > 0.0:
+        raise ValueError("relay type must be positive")
+    # Python floats: an overflowing c*snr/theta makes the margin inf, without a warning.
+    margin = 12.0 * _EPS * (brackets.top_transfer + brackets.top_cost / low) + 12.0 * 2.0**-1074
+    if margin == math.inf:
+        return _best_response(menu.snrs, menu.transfers, menu.cost_coeff, types)
+    at = brackets.thresholds.searchsorted(flat)
+    windows = at[:, None] + _WINDOW
+    utilities = brackets.costs[windows] / flat[:, None]
+    np.subtract(brackets.transfers[windows], utilities, out=utilities)
+    pick = utilities.argmax(axis=1)
+    top = utilities[np.arange(flat.size), pick]
+    best = np.where(top >= 0.0, brackets.index[at + pick], -1)
+    unsure = ~(np.maximum(utilities[:, 0], utilities[:, 4]) < top - margin)
+    if unsure.any():
+        best[unsure] = _best_response(menu.snrs, menu.transfers, menu.cost_coeff, flat[unsure])
+    return best.reshape(types.shape)
 
 
 def verify_menu(menu: ContractMenu) -> MenuAudit:

@@ -10,6 +10,7 @@ upper bound, and an exhaustive oracle for small instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -17,7 +18,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -254,9 +254,10 @@ def knapsack_01(
     Transfers round up and the budget rounds down at `resolution` units per
     1.0 of money, so the selection never overdraws the true budget.  Returns
     the selected relay indices in ascending order.  Raises ValueError on a
-    price that is not finite and non-negative, and rather than allocate more
-    than 2**28 bytes: the (usable offers x width) bool table plus two float
-    rows of the width.
+    price that is not finite and non-negative or is 2**53 money units or
+    more (as `SelectionProblem` does), and rather than allocate more than
+    2**28 bytes: the (usable offers x width) bool table plus two float rows
+    of the width.
     """
     gammas = np.asarray(snr_col, dtype=float)
     transfers = np.asarray(transfer_col, dtype=float)
@@ -267,14 +268,16 @@ def knapsack_01(
 
     units = int(_money_units(sub_budget, resolution))
     items, item_weights, item_gammas = [], [], []  # the usable offers
-    for m, (g, t, w) in enumerate(
-        zip(gammas.tolist(), transfers.tolist(), _price_units(transfers, resolution).tolist())
-    ):
+    for m, (g, t) in enumerate(zip(gammas.tolist(), transfers.tolist())):
         if not 0.0 <= t < math.inf:
             raise ValueError(f"offer {m} price must be finite and non-negative, got {t}")
+        priced = t * resolution  # a Python float: inf where it overflows, without a warning
+        if priced >= _EXACT_UNITS:
+            raise ValueError(f"offer {m} price {t:g} at resolution {resolution} is 2**53 money units or more")
+        w = math.ceil(priced - _UNIT_SNAP)  # `_price_units` on one price
         if g > 0.0 and w <= units:
             items.append(m)
-            item_weights.append(int(w))
+            item_weights.append(w)
             item_gammas.append(g)
     if not items:
         return []
@@ -326,15 +329,26 @@ def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
         return np.where(sum_t > 0.0, offers.snr.sum(axis=0) / sum_t, 0.0)
 
 
-class _SplitPlan(NamedTuple):
+@dataclass
+class _SplitPlan:
     """One row per split, ESW, ASW, NSW.  The bounds order the splits, and
     each row's terms - estimates the knapsacks of its split."""
 
     sub_budgets: np.ndarray  # (3, N) budget shares
     caps: np.ndarray  # (3, N) the shares in `knapsack_01`'s money units, NaN where weights sum to 0
     terms: np.ndarray  # (3, N) log2(1 + each subcarrier's fractional knapsack optimum)
-    estimates: np.ndarray  # (3, N) log2(1 + SNR of the offers that fractional fill buys whole)
     bounds: list[float]  # each split's capacity bound, -inf where its weights overflow
+    bought: np.ndarray  # (3, M, N) the share of each offer, in efficiency order, the fill buys
+    snr: np.ndarray  # (M, N) the offers' SNRs in efficiency order
+
+    @functools.cached_property
+    def estimates(self) -> np.ndarray:
+        """(3, N) log2(1 + SNR of the offers each fractional fill buys whole).
+
+        Only a split that solves two or more knapsacks reads them, so all
+        three rows are built together on the first such read.
+        """
+        return np.log2(1.0 + (np.floor(self.bought) * self.snr).sum(axis=1))
 
 
 def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
@@ -368,11 +382,9 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
         bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
         np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
     np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
-    # Rows 0-2 sum the fractional fill, rows 3-5 only the offers it buys whole.
-    logs = np.log2(1.0 + (np.concatenate((bought, np.floor(bought))) * snr).sum(axis=1))
-    terms, estimates = logs[:3], logs[3:]
+    terms = np.log2(1.0 + (bought * snr).sum(axis=1))
     bounds = np.where(weight_sums < math.inf, _with_margin(terms.sum(axis=1)), -math.inf)
-    return _SplitPlan(sub_budgets, caps, terms, estimates, bounds.tolist())
+    return _SplitPlan(sub_budgets, caps, terms, bounds.tolist(), bought, snr)
 
 
 def weighted_split_selection(

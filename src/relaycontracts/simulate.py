@@ -17,9 +17,9 @@ import numpy as np
 
 from .contracts import (
     ContractMenu,
-    _best_response,
     _check_cost,
     _first_best,
+    _respond,
     first_best_menu,
     information_rent,
     second_best_menu,
@@ -168,7 +168,7 @@ def accepted_offers(menu: ContractMenu, types: np.ndarray) -> OfferMatrix:
     best pair would lose money keep the null contract.
     """
     snrs, transfers = menu.snrs, menu.transfers
-    best = _best_response(snrs, transfers, menu.cost_coeff, types)
+    best = _respond(menu, types)
     accept = best >= 0
     return OfferMatrix(np.where(accept, snrs[best], 0.0), np.where(accept, transfers[best], 0.0))
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import relaycontracts.contracts as contracts_module
 from relaycontracts import (
     ContractMenu,
     ContractPair,
+    TypeDistribution,
     TypeGrid,
     first_best_contract,
     first_best_menu,
@@ -19,7 +21,7 @@ from relaycontracts import (
     snr_to_db,
     verify_menu,
 )
-from relaycontracts.contracts import MenuAudit, _best_response, _pava_nonincreasing
+from relaycontracts.contracts import MenuAudit, _best_response, _pava_nonincreasing, _respond
 
 TWO_LN2 = 2.0 * math.log(2.0)
 
@@ -390,6 +392,125 @@ def test_best_response_matches_two_temporary_form_bitwise(case):
     want = reference_best_response(snrs, transfers, cost, types)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def monotone_menu(rng, k, cost):
+    """A random menu whose thresholds increase, with runs of equal pairs."""
+    steps = rng.uniform(0.1, 5.0, k) * (rng.random(k) > 0.2)  # zero steps repeat a pair
+    steps[0] = rng.uniform(0.0, 2.0)
+    thresholds = np.cumsum(rng.uniform(0.5, 3.0, k))
+    snrs = np.cumsum(steps)
+    transfers = np.cumsum(cost * steps / thresholds)
+    return ContractMenu(snrs, transfers, TypeGrid(thresholds, np.full((k, 1), 1.0 / k)), cost)
+
+
+def respond_menus():
+    """(menu, has a bracket table) over the window path's inputs and its refusals."""
+    rng = np.random.default_rng(1919)
+    uniform = TypeDistribution.uniform(50.0, 300.0)
+    exponential = TypeDistribution.truncated_exponential(50.0, 300.0, 0.02)
+    pooled = TypeDistribution.empirical([[50, 0], [100, 0.49], [200, 0.5], [300, 1]])
+    menus = []
+    for dist, k, n, cost in (
+        (uniform, 64, 1, 1.0), (uniform, 300, 4, 0.3), (uniform, 1000, 32, 1.0), (uniform, 2000, 2, 2.5),
+        (exponential, 64, 3, 1.0), (exponential, 1500, 1, 0.3),
+        (pooled, 100, 2, 1.0), (pooled, 1000, 1, 2.5),
+    ):
+        grid = TypeGrid.from_distribution(dist, k, n)
+        # First-best menus are single-crossing too: each threshold lies above
+        # every grid type, so every type takes the first pair.
+        menus += [(second_best_menu(grid, cost), True), (first_best_menu(grid, cost), True)]
+    assert menus[-4][0].pooled and menus[-2][0].pooled
+    menus += [(monotone_menu(rng, k, cost), True) for k, cost in ((64, 1.0), (500, 0.7), (2000, 3.0))]
+    single = TypeGrid(np.array([120.0]), np.ones((1, 2)))
+    menus += [(second_best_menu(single, 1.0), True), (ContractMenu([0.0], [0.0], single, 1.0), True)]
+    # Refused tables: swapped pairs, a transfer step with no SNR step, and
+    # thresholds that fall.
+    base = second_best_menu(TypeGrid.from_distribution(uniform, 300, 2), 1.0)
+    swapped = base.snrs.copy(), base.transfers.copy()
+    for values in swapped:
+        values[[100, 101]] = values[[101, 100]]
+    flat = base.snrs.copy()
+    flat[151] = flat[150]
+    falling = np.cumsum(rng.uniform(0.1, 1.0, 300)), np.cumsum(rng.uniform(0.1, 1.0, 300))
+    menus += [
+        (ContractMenu(*swapped, base.grid, 1.0), False),
+        (ContractMenu(flat, base.transfers, base.grid, 1.0), False),
+        (ContractMenu(*falling, base.grid, 1.0), False),
+    ]
+    return menus
+
+
+def test_respond_matches_the_full_rule_bitwise(monkeypatch):
+    # With the size gate at 0, every call on a menu with a table takes the
+    # window; the full rule counts the rows it answers in its place.
+    monkeypatch.setattr(contracts_module, "_WINDOW_MIN_VALUES", 0)
+    fallback = []
+    full_rule = contracts_module._best_response
+
+    def counting(snrs, transfers, cost_coeff, types):
+        fallback.append(np.size(types))
+        return full_rule(snrs, transfers, cost_coeff, types)
+
+    monkeypatch.setattr(contracts_module, "_best_response", counting)
+
+    def check(menu, types):
+        got = _respond(menu, types)
+        want = reference_best_response(menu.snrs, menu.transfers, menu.cost_coeff, types)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    for menu, certified in respond_menus():
+        brackets = menu._brackets
+        assert (brackets is not None) == certified
+        deltas = menu.grid.deltas
+        edges = np.concatenate([deltas, [] if brackets is None else brackets.thresholds])
+        types = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf),
+            [deltas[0] / 2, np.nextafter(deltas[0], 0.0) / 3, deltas[-1] * 2, deltas[-1] + 1e6],
+            np.random.default_rng(menu.grid.k).uniform(deltas[0] / 2, deltas[-1] * 2, 200),
+        ])
+        types = np.resize(types, (-(-types.size // 64), 64))  # (M, N), the tail wrapping round
+        fallback.clear()
+        for chunk in np.array_split(types, -(-types.size // 1024)):  # reference buffers of <= 16 MiB
+            check(menu, chunk)
+        if certified:  # the window answered almost every row
+            assert sum(fallback) < types.size / 100
+        for theta in (deltas[0], deltas[-1], np.nextafter(deltas[-1], math.inf), 1e300):
+            check(menu, np.float64(theta))  # 0-d
+        # Extreme types: 1e-300 widens the margin past most windows, so their
+        # rows fall back, and 1e-310 makes c*snr/theta overflow, which sends
+        # the whole call to the full rule.
+        check(menu, np.array([[1e-300, 1e300, deltas[0]], [deltas[-1], 1.0, 1e6]]))
+        with np.errstate(over="ignore"):
+            check(menu, np.array([1e-310, deltas[0], 1e300]))
+    # Utilities flat within rounding over more than five pairs: exact SNRs
+    # near 2**52, 8 + j apart, and transfers near 2**46, 2**-6 apart.  The
+    # table holds, but most rows miss the margin and the full rule answers.
+    j = np.arange(64.0)
+    flat = ContractMenu(
+        2.0**52 + np.cumsum(8.0 + j), 2.0**46 + j * 2.0**-6, TypeGrid(64.0 * (8 + j), np.full((64, 1), 1 / 64)), 1.0
+    )
+    assert flat._brackets is not None
+    fallback.clear()
+    types = np.random.default_rng(3).uniform(500.0, 5000.0, (40, 50))
+    check(flat, types)
+    assert sum(fallback) > types.size / 2
+    with pytest.raises(ValueError, match="relay type must be positive"):
+        _respond(flat, np.array([100.0, -1.0, 200.0]))
+
+
+def test_only_large_calls_build_the_bracket_table():
+    # Below _WINDOW_MIN_VALUES values the full rule runs and no table is built.
+    uniform = TypeDistribution.uniform(50.0, 300.0)
+    paper = second_best_menu(TypeGrid.from_distribution(uniform, 10, 16), 1.0)
+    fine = second_best_menu(TypeGrid.from_distribution(uniform, 300, 32), 1.0)
+    types = np.full((18, 16), 120.0)  # the paper sweep's largest round: 2,880 values
+    _respond(paper, types)
+    _respond(fine, np.float64(120.0))
+    assert "_bracket_table" not in vars(paper) and "_bracket_table" not in vars(fine)
+    _respond(fine, np.full((3, 32), 120.0))  # a fine-grid round: 28,800 values
+    assert vars(fine)["_bracket_table"] is fine._brackets is not None
 
 
 @st.composite

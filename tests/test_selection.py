@@ -916,10 +916,16 @@ def test_knapsack_matches_reference_dp_on_edge_columns():
         )
 
 
-def test_knapsack_never_takes_an_offer_whose_units_overflow():
-    # 1e308 * 1000 is inf units: the offer is never usable, not free.
-    with np.errstate(over="ignore"):
-        assert knapsack_01(np.array([5.0]), np.array([1e308]), 1.0, 1000) == []
+@pytest.mark.parametrize("price", [1e308, 2.0**53 / 1000, 1e300])
+def test_knapsack_refuses_a_price_of_2_to_the_53_units_or_more(price):
+    # 1e308 * 1000 overflows to inf units; 2**53 units are no longer exact.
+    # Both are refused by name, as `SelectionProblem` refuses them, without
+    # a numpy warning; a price just below 2**53 units is merely unaffordable.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"offer 1 price .* at resolution 1000 is 2\*\*53 money units or more"):
+            knapsack_01(np.array([5.0, 4.0]), np.array([0.5, price]), 1.0, 1000)
+        assert knapsack_01(np.array([5.0, 4.0]), np.array([0.5, (2.0**53 - 1) / 1000]), 1.0, 1000) == [0]
 
 
 @pytest.mark.parametrize("price", [math.inf, math.nan, -3.0])
@@ -1179,6 +1185,56 @@ def test_splits_run_the_knapsack_only_where_the_usable_offers_do_not_all_fit(mon
             assert result.subsets == tuple(reference_split(problem, kind))
     assert calls
     assert all(reach > units for _, reach, units in calls)
+
+
+def reference_plan_splits(problem):
+    """Frozen copy of the single-pass split plan: shares, caps, terms,
+    estimates and bounds, with the estimates summed beside the terms."""
+    offers, resolution = problem.offers, problem.resolution
+    with np.errstate(over="ignore", invalid="ignore"):
+        profiles = [weight_profile(offers, kind) for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW)]
+        weight_sums = np.array([weights.sum() for weights in profiles])
+        sub_budgets = np.stack(profiles) * problem.budget / weight_sums[:, None]
+        caps = np.floor(sub_budgets * resolution + 1e-9)
+        order = offers.efficiency_order, np.arange(offers.n)
+        snr, priced = offers.snr[order], offers.transfer[order] * resolution
+        usable = (snr > 0.0) & (priced - 1e-9 <= caps[:, None, :])
+        weight = np.where(usable, priced, 0.0)
+        ahead = np.zeros_like(weight)
+        np.cumsum(weight[:, :-1, :], axis=1, out=ahead[:, 1:, :])
+        room = caps[:, None, :] + offers.m * 1e-9
+        bought = usable.astype(float)
+        np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
+    np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
+    logs = np.log2(1.0 + (np.concatenate((bought, np.floor(bought))) * snr).sum(axis=1))
+    terms, estimates = logs[:3], logs[3:]
+    bounds = np.where(weight_sums < math.inf, terms.sum(axis=1) * (1.0 + 1e-9) + 1e-9, -math.inf)
+    return sub_budgets, caps, terms, estimates, bounds.tolist()
+
+
+def test_split_plan_matches_the_single_pass_plan_bitwise():
+    # The estimates are built apart from the terms, on first read; every row
+    # keeps the bytes of the plan that summed them in one pass.  M up to 20
+    # and N = 1 cover numpy's blocked sums along the relay axis.
+    rng = np.random.default_rng(4141)
+    problems = [
+        SelectionProblem(OfferMatrix(np.array([[3.0, 1e-17], [2.0, 0.0]]), np.zeros((2, 2))), 1.0),
+        SelectionProblem(OfferMatrix(np.array([[1e300, 1e300]]), np.array([[1e-8, 1e-8]])), 1.0),
+        SelectionProblem(OfferMatrix(np.zeros((0, 3)), np.zeros((0, 3))), 1.0),
+    ]
+    for _ in range(300):
+        m, n = int(rng.integers(1, 21)), int(rng.choice([1, 2, 5, 16]))
+        snr, transfer = (np.column_stack(parts) for parts in zip(*(edge_case_column(rng, m) for _ in range(n))))
+        budget = float(rng.choice([0.0, rng.uniform(0.0, 1.2) * transfer.sum(), rng.uniform(0.0, 3.0)]))
+        problems.append(SelectionProblem(OfferMatrix(snr, transfer), budget, int(rng.choice([1, 7, 1000]))))
+    overall_heuristic(problems[0])  # every split's free offers fit: no knapsack, no estimates
+    for problem in problems:
+        plan = problem._split_plan
+        assert "estimates" not in vars(plan)
+        got = plan.sub_budgets, plan.caps, plan.terms, plan.estimates, plan.bounds
+        for row, want in zip(got, reference_plan_splits(problem)):
+            assert np.asarray(row).tobytes() == np.asarray(want).tobytes()
+        assert plan.estimates is plan.estimates
 
 
 def split_bounds(problem):

@@ -105,17 +105,21 @@ def test_accepted_offers_agree_with_select_best_contract(table3_menu):
         TypeGrid(np.array([1.0, 2.0, 3.0, 4.0]), np.full((4, 1), 0.25)),
         1.0,
     )
-    for menu in (table3_menu, first_best_menu(table3_menu.grid, 1.0), ties):
+    fine = TypeGrid.from_distribution(TypeDistribution.uniform(50.0, 300.0), 1000, 4)
+    # K=1000 menus answer accepted_offers through their bracket windows.
+    menus = (table3_menu, first_best_menu(table3_menu.grid, 1.0), ties,
+             second_best_menu(fine, 1.0), first_best_menu(fine, 1.0))
+    for menu in menus:
         deltas = menu.grid.deltas
         types = np.concatenate([
             deltas, np.nextafter(deltas, 0.0), np.nextafter(deltas, np.inf),
             [0.5, 1.0, 2.0, 4.0, 40.0, 1e6],
             np.random.default_rng(5).uniform(0.5, 350.0, 200),
         ])[None, :]
-        offers = accepted_offers(menu, types)
+        offers, pairs = accepted_offers(menu, types), menu.pairs
         for j, theta in enumerate(types[0]):
             best = select_best_contract(menu, float(theta))
-            pair = ContractPair(0.0, 0.0) if best is None else menu.pairs[best]
+            pair = ContractPair(0.0, 0.0) if best is None else pairs[best]
             assert (offers.snr[0, j], offers.transfer[0, j]) == (pair.snr, pair.transfer)
     # exact ties go to the lowest index: pairs 1 and 2 at 3.0, pairs 0-2 at 2.0
     assert select_best_contract(ties, 3.0) == 1
@@ -150,6 +154,37 @@ def test_best_response_fills_one_utility_buffer():
     if not tracing:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * m * n * k
+
+
+def test_best_response_on_fine_grids_scores_a_window_per_type():
+    # At K=1000, M=3, N=32 a menu with a bracket table scores five pairs per
+    # relay and subcarrier, so the call peaks far below the (M, N, K)
+    # utilities; a menu without one (two pairs swapped) stays within the
+    # one-buffer gate above.
+    m, n, k = 3, 32, 1000
+    dist = TypeDistribution.uniform(50.0, 300.0)
+    grid = TypeGrid.from_distribution(dist, k, n)
+    second = second_best_menu(grid, 1.0)
+    swapped = second.snrs.copy(), second.transfers.copy()
+    for values in swapped:
+        values[[500, 501]] = values[[501, 500]]
+    types = dist.ppf(np.random.default_rng(5).random((m, n)))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for menu, share in (
+            (second, 1 / 8), (first_best_menu(grid, 1.0), 1 / 8), (ContractMenu(*swapped, grid, 1.0), 1.5),
+        ):
+            accepted_offers(menu, types)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            accepted_offers(menu, types)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < share * 8 * m * n * k
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def test_efficient_offers_match_first_best_contract_bitwise(table3_grid):
