@@ -25,8 +25,12 @@ compares every output file byte for byte:
   NSW weights that overflow, so those splits drop out; all-free offers,
   whose zero ASW and NSW weight sums give NaN caps; offers on which a
   later split has the highest plan bound, so the splits run out of rank
-  order; splits that tie on bound and capacity; and a split that stops
-  after the knapsack it solves first, by estimated bound drop;
+  order; splits that tie on bound and capacity; a split that stops
+  after the knapsack it solves first, by estimated bound drop; a later
+  split that takes an earlier one's knapsack subset, its cap between the
+  subset's units and the earlier cap, where that subset settles a tie; a
+  later cap above the earlier one, so that knapsack is solved again; and a
+  two-offer knapsack, whose DP is its first row and one last comparison;
 - `contracts` and `table3` at their defaults.
 
 Prints each output's sha256 on both sides and exits 1 if any output
@@ -99,6 +103,15 @@ EDGE_OFFERS = {
     "tie": (["0,0,15,1.5", "0,1,20,1.5", "1,1,20,1"], ("2",)),
     # ESW stops after one knapsack, its largest estimated bound drop, at 2.5.
     "drop_order": (["0,0,20,1", "0,1,20,1", "1,0,10,1", "1,1,20,0.5"], ("2.5", "1.5")),
+    # NSW solves subcarrier 0 at 2018 units and takes relay 0 of the tied
+    # relays 0 and 1 (2000 units); ESW's cap there is 2000, so it takes that
+    # subset.  ESW's 2000 on subcarrier 1 is above NSW's 1981: solved again.
+    "reuse_inside": (["0,0,15,2", "0,1,10,1.5", "1,0,15,2", "1,1,5,1.5", "2,0,5,1.5", "2,1,10,1"], ("4",)),
+    # ASW's 1800 on subcarrier 0 is above ESW's 1500, so ASW solves it again;
+    # NSW's caps equal ASW's, and it takes both of ASW's subsets.
+    "reuse_above": (["0,0,15,1", "0,1,5,0.5", "1,0,15,1", "1,1,10,1"], ("3",)),
+    # One subcarrier: the three splits share ESW's two-offer knapsack.
+    "two_offers": (["0,0,10,1", "1,0,10,0.5"], ("1",)),
 }
 
 

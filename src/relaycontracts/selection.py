@@ -254,10 +254,14 @@ def knapsack_01(
     Transfers round up and the budget rounds down at `resolution` units per
     1.0 of money, so the selection never overdraws the true budget.  Returns
     the selected relay indices in ascending order.  Raises ValueError on a
-    price that is not finite and non-negative or is 2**53 money units or
-    more (as `SelectionProblem` does), and rather than allocate more than
-    2**28 bytes: the (usable offers x width) bool table plus two float rows
-    of the width.
+    sub-budget or a price that is not finite and non-negative or is 2**53
+    money units or more (as `SelectionProblem` does for prices), and rather
+    than allocate more than 2**28 bytes by the bound (usable offers + 16) x
+    width: the bool table plus two float rows of the width.  The table holds
+    one row fewer than the usable offers: the first row is a fill, as the
+    best values are all zero before it, and the traceback reads the last
+    item's row in one cell, at the sub-budget's units, so one comparison
+    decides it.
     """
     gammas = np.asarray(snr_col, dtype=float)
     transfers = np.asarray(transfer_col, dtype=float)
@@ -265,6 +269,10 @@ def knapsack_01(
         raise ValueError("snr and transfer columns must be equal-length vectors")
     _check_budget(sub_budget, "sub-budget")
     _check_resolution(resolution)
+    if float(sub_budget) * resolution >= _EXACT_UNITS:  # a Python float: inf without a warning
+        raise ValueError(
+            f"sub-budget {sub_budget:g} at resolution {resolution} is 2**53 money units or more"
+        )
 
     units = int(_money_units(sub_budget, resolution))
     items, item_weights, item_gammas = [], [], []  # the usable offers
@@ -284,17 +292,19 @@ def knapsack_01(
 
     # best[c]: top SNR sum within capacity c over the items seen so far;
     # took[i, c]: item i improved best[c].  Capacities below an item's
-    # weight never take it, so each step touches only best[w:].
+    # weight never take it, so each step touches only best[w:].  Every
+    # usable SNR is positive, so the first item takes every capacity it fits.
     width = units + 1
     if (len(items) + 16) * width > _MAX_ARRAY_BYTES:
-        raise ValueError(
-            f"knapsack table of {len(items)} usable offers x {width} money units "
-            f"needs more than 2**28 bytes; lower the resolution"
-        )
+        raise _table_refusal(len(items), width)
     best = np.zeros(width)
     scratch = np.empty(width)
-    took = np.zeros((len(items), width), dtype=bool)
-    for i, (w, g) in enumerate(zip(item_weights, item_gammas)):
+    took = np.zeros((len(items) - 1, width), dtype=bool)
+    if len(items) > 1:
+        took[0, item_weights[0]:] = True
+        best[item_weights[0]:] = item_gammas[0]
+    for i in range(1, len(items) - 1):
+        w, g = item_weights[i], item_gammas[i]
         reach = best[w:]
         cand = np.add(best[: width - w], g, out=scratch[: width - w])
         np.greater(cand, reach, out=took[i, w:])
@@ -302,12 +312,22 @@ def knapsack_01(
 
     chosen: list[int] = []
     remaining = units
-    for i in range(len(items) - 1, -1, -1):
+    if best[units - item_weights[-1]] + item_gammas[-1] > best[units]:  # the last item's took cell
+        chosen.append(items[-1])
+        remaining -= item_weights[-1]
+    for i in range(len(items) - 2, -1, -1):
         if took[i, remaining]:
             chosen.append(items[i])
             remaining -= item_weights[i]
     chosen.reverse()
     return chosen
+
+
+def _table_refusal(usable: int, width: int) -> ValueError:
+    return ValueError(
+        f"knapsack table of {usable} usable offers x {width} money units "
+        f"needs more than 2**28 bytes; lower the resolution"
+    )
 
 
 def _price_units(transfers: np.ndarray, resolution: int) -> np.ndarray:
@@ -387,8 +407,29 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
     return _SplitPlan(sub_budgets, caps, terms, bounds.tolist(), bought, snr)
 
 
+def _reused(solved: list[list], cap: float, units: np.ndarray, n: int) -> list[int] | None:
+    """A subset solved on this subcarrier at a cap >= `cap` whose own units fit `cap`.
+
+    Each entry is [cap, subset, the subset's units or None until needed].
+    """
+    for entry in solved:
+        solved_cap, subset, used = entry
+        if cap == solved_cap:
+            return subset
+        if cap < solved_cap:
+            if used is None:
+                used = entry[2] = float(units[subset, n].sum())
+            if used <= cap:
+                return subset
+    return None
+
+
 def weighted_split_selection(
-    problem: SelectionProblem, kind: SelectionMethod, *, floor: float = -math.inf
+    problem: SelectionProblem,
+    kind: SelectionMethod,
+    *,
+    floor: float = -math.inf,
+    _solved: dict[int, list[list]] | None = None,
 ) -> SelectionResult:
     """Split the budget by a weight profile, then solve one knapsack per subcarrier.
 
@@ -410,6 +451,16 @@ def weighted_split_selection(
     one's drop of the bound, ties in index order, so a losing split crosses
     `floor` sooner.  Subcarriers are independent, so a split that does not
     stop returns what it would with no floor.
+
+    `_solved`, private to `overall_heuristic`, maps a subcarrier to the
+    knapsacks earlier splits of the same call solved there, and the split
+    adds its own.  One solved at cap u with subset S answers any cap u' in
+    [units(S), u]: `knapsack_01`'s best values rise with the capacity and
+    are flat from units(S) to u, so every traceback comparison at u' comes
+    out as at u, and offers dearer than u' never enter either trace.  A
+    call without it shares nothing.  A cap of 2**53 units or more, which
+    `knapsack_01` refuses by its sub-budget, is refused here by the table
+    it would need, as the split knows its usable offers.
     """
     row = _split_row(kind)
     offers, plan = problem.offers, problem._split_plan
@@ -436,9 +487,16 @@ def weighted_split_selection(
     for n in solve.tolist():
         if _with_margin(bound) < floor:
             break
-        snr_col = offers.snr[:, n]
-        subsets[n] = knapsack_01(snr_col, offers.transfer[:, n], sub_budgets[n], resolution)
-        bound += math.log2(1.0 + _sequential_sum(snr_col[subsets[n]].tolist())) - terms[n]
+        snr_col, cap = offers.snr[:, n], caps[n]
+        subset = None if _solved is None else _reused(_solved.setdefault(n, []), cap, units, n)
+        if subset is None:
+            if cap >= _EXACT_UNITS:
+                raise _table_refusal(int(np.count_nonzero(usable[:, n])), int(cap) + 1)
+            subset = knapsack_01(snr_col, offers.transfer[:, n], sub_budgets[n], resolution)
+            if _solved is not None:
+                _solved[n].append([cap, subset, None])
+        subsets[n] = subset
+        bound += math.log2(1.0 + _sequential_sum(snr_col[subset].tolist())) - terms[n]
     return _result(offers, subsets, kind)
 
 
@@ -491,9 +549,13 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     capacity below the final best.  The result is the first maximum, in
     ESW, ASW, NSW, SSCPA order, among the candidates that ran.  Only a
     candidate below the final best is skipped or stops, so the result is
-    that of all four run in full, ties included.  An ASW or NSW split whose
-    budget weights overflow has bound -inf and never runs; ESW's weights are
-    ones, so ESW and SSCPA always compete.  The selection is feasible, so
+    that of all four run in full, ties included.  The splits share the
+    knapsacks they solve: a later split whose cap on a subcarrier lies
+    between an earlier one's subset units and cap there takes that subset
+    without a `knapsack_01` call, the subset the call would return
+    (`weighted_split_selection`).  An ASW or NSW split whose budget weights
+    overflow has bound -inf and never runs; ESW's weights are ones, so ESW
+    and SSCPA always compete.  The selection is feasible, so
     its capacity never exceeds `exhaustive_optimum`. It does not dominate
     `best_snr_baseline` on every instance: each candidate commits money per
     subcarrier, and the greedy's global packing can win.  The ordering
@@ -501,10 +563,11 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     """
     ran = [None, None, None, sscpa(problem)]  # by rank: ESW, ASW, NSW, SSCPA
     best, bounds = ran[3].capacity, problem._split_plan.bounds
+    solved: dict[int, list[list]] = {}  # the knapsacks the splits solve, for the later ones
     for row in sorted(range(3), key=bounds.__getitem__, reverse=True):  # stable on ties
         if bounds[row] < best:
             break
-        ran[row] = weighted_split_selection(problem, _SPLIT_KINDS[row], floor=best)
+        ran[row] = weighted_split_selection(problem, _SPLIT_KINDS[row], floor=best, _solved=solved)
         best = max(best, ran[row].capacity)
     first_best = max([result for result in ran if result is not None], key=lambda r: r.capacity)
     return replace(first_best, method=SelectionMethod.OVERALL)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1334,13 +1335,15 @@ def test_overall_runs_a_split_that_ties_sscpa_and_keeps_its_subsets(monkeypatch)
     assert esw.subsets == ((0,),) and esw.capacity == sscpa(problem).capacity
     calls.clear()
     result = overall_heuristic(problem)
-    assert len(calls) == 3
+    # One subcarrier: every split gets the whole budget, so ASW and NSW take ESW's subset.
+    assert len(calls) == 1
     assert (result.subsets, result.spend, result.method) == (((0,),), 1.0, SelectionMethod.OVERALL)
 
 
 def test_overall_builds_the_split_plan_once(monkeypatch):
-    # All three splits run a knapsack here; the pre-skip, the splits and their
-    # running bounds all read one plan, so each weight profile is computed once.
+    # All three splits run here, ESW's knapsack serving all three; the pre-skip,
+    # the splits and their running bounds all read one plan, so each weight
+    # profile is computed once.
     calls = counting_knapsack(monkeypatch)
     profiles = []
     original = selection_module.weight_profile
@@ -1352,7 +1355,7 @@ def test_overall_builds_the_split_plan_once(monkeypatch):
     monkeypatch.setattr(selection_module, "weight_profile", counting_profile)
     problem = SelectionProblem(offers_1d([10.0, 10.0], [1.0, 0.5]), 1.0)
     result = overall_heuristic(problem)
-    assert len(calls) == 3 and result.subsets == ((0,),)
+    assert len(calls) == 1 and result.subsets == ((0,),)
     assert profiles == [SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW]
     for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
         weighted_split_selection(problem, kind)
@@ -1445,10 +1448,90 @@ def test_overall_runs_the_splits_by_plan_bound_and_an_earlier_tie_wins(monkeypat
     assert (result.capacity.hex(), result.spend.hex()) == (splits[0].capacity.hex(), (0.5).hex())
 
 
+def test_overall_reuses_a_subset_within_its_units_and_cap_and_solves_above_the_cap(monkeypatch):
+    # NSW runs first, with caps 2018 and 1981; it takes relay 0 of the tied
+    # relays 0 and 1 on subcarrier 0, 2000 units.  ESW's 2000 there lies in
+    # [2000, 2018], so ESW takes that subset; its 2000 on subcarrier 1 is
+    # above NSW's 1981, so it solves that knapsack again.
+    calls = counting_knapsack(monkeypatch)
+    snr = np.array([[15.0, 10.0], [15.0, 5.0], [5.0, 10.0]])
+    transfer = np.array([[2.0, 1.5], [2.0, 1.5], [1.5, 1.0]])
+    problem = SelectionProblem(OfferMatrix(snr, transfer), 4.0)
+    assert problem._split_plan.caps[[0, 2]].tolist() == [[2000.0, 2000.0], [2018.0, 1981.0]]
+    result = overall_heuristic(problem)
+    assert calls == [(3, 4000, 1981), (3, 5500, 2018), (3, 4000, 2000)]
+    assert result.subsets == ((0,), (0,))
+    # ESW solves subcarrier 0 at 1500; both offers fit its 1500 on subcarrier
+    # 1.  ASW's 1800 on subcarrier 0 is above 1500, so ASW solves both its
+    # knapsacks, and NSW, whose caps equal ASW's, takes both subsets.
+    calls.clear()
+    snr, transfer = np.array([[15.0, 5.0], [15.0, 10.0]]), np.array([[1.0, 0.5], [1.0, 1.0]])
+    problem = SelectionProblem(OfferMatrix(snr, transfer), 3.0)
+    result = overall_heuristic(problem)
+    assert calls == [(2, 2000, 1500), (2, 1500, 1200), (2, 2000, 1800)]
+    assert result.subsets == ((0,), (0, 1))
+    kinds = (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW)
+    alone = [weighted_split_selection(SelectionProblem(problem.offers, 3.0), kind) for kind in kinds]
+    assert len(calls) == 3 + 5
+    assert [split.subsets for split in alone] == [((0,), (0, 1)), ((0,), (1,)), ((0,), (1,))]
+
+
+def test_overall_shares_knapsacks_and_equals_its_candidates_run_in_full(monkeypatch, table3_menu):
+    # Paper-sized rounds: the table-3 menu (K=10, N=16), 2-18 relays, budgets 8, 16 and 24.
+    calls = counting_knapsack(monkeypatch)
+    original = selection_module.weighted_split_selection
+    runs = []
+
+    def recording(problem, kind, **kwargs):
+        runs.append((kind, kwargs["floor"]))
+        return original(problem, kind, **kwargs)
+
+    rng = np.random.default_rng(2121)
+    fewer = 0
+    for _ in range(150):
+        offers = accepted_offers(table3_menu, rng.uniform(50.0, 300.0, (int(rng.integers(2, 19)), 16)))
+        budget = float(rng.choice([8.0, 16.0, 24.0]))
+        runs.clear()
+        calls.clear()
+        monkeypatch.setattr(selection_module, "weighted_split_selection", recording)
+        result = overall_heuristic(SelectionProblem(offers, budget))
+        monkeypatch.setattr(selection_module, "weighted_split_selection", original)
+        shared = len(calls)
+        for kind, floor in runs:  # each split overall ran, alone with the same floor
+            original(SelectionProblem(offers, budget), kind, floor=floor)
+        alone = len(calls) - shared
+        assert shared <= alone
+        fewer += shared < alone
+        fresh = SelectionProblem(offers, budget)
+        kinds = (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW)
+        candidates = [original(fresh, kind) for kind in kinds] + [sscpa(fresh)]
+        first = max(candidates, key=lambda candidate: candidate.capacity)
+        assert result.method is SelectionMethod.OVERALL
+        assert (result.subsets, result.capacity.hex(), result.spend.hex()) == (
+            first.subsets, first.capacity.hex(), first.spend.hex()
+        )
+    assert fewer > 0
+
+
 @pytest.mark.parametrize("budget", [math.inf, math.nan, -1.0])
 def test_knapsack_refuses_a_non_finite_or_negative_sub_budget(budget):
     with pytest.raises(ValueError, match="sub-budget must be finite and non-negative"):
         knapsack_01(np.array([5.0]), np.array([1.0]), budget, 1000)
+
+
+@pytest.mark.parametrize("budget, resolution", [(1e308, 1000), (1e300, 1000), (np.float64(1e308), 1000), (2.0**53, 1)])
+def test_knapsack_refuses_a_sub_budget_of_2_to_the_53_units_or_more(budget, resolution):
+    # 1e308 * 1000 overflows to inf units, which raised a bare OverflowError;
+    # 1e300 printed a 301-digit unit count.  Each is refused by name, as such
+    # prices are, without a numpy warning.
+    message = re.escape(f"sub-budget {budget:g} at resolution {resolution} is 2**53 money units or more")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            knapsack_01(np.array([5.0]), np.array([1.0]), budget, resolution)
+        # One unit below 2**53 is a width the table refuses.
+        with pytest.raises(ValueError, match="1 usable offers x 9007199254740992 money units"):
+            knapsack_01(np.array([5.0]), np.array([1.0]), 2.0**53 - 1, 1)
 
 
 @pytest.mark.parametrize("resolution", [0, -3, 2**53])
@@ -1608,6 +1691,37 @@ def test_property_a_split_with_a_floor_stops_only_below_it(problem):
                 # A stopped split keeps each subcarrier's subset or leaves it empty.
                 assert result.method is kind and result.capacity < floor
                 assert all(sub in (kept, ()) for sub, kept in zip(result.subsets, full.subsets))
+
+
+@st.composite
+def traceback_columns(draw):
+    """A knapsack column priced in whole units at resolution 1, 10 or 1000,
+    with tied SNRs and prices, 1e-17 SNRs and zero prices, and a cap in units."""
+    resolution = draw(st.sampled_from([1, 10, 1000]))
+    m = draw(st.integers(1, 7))
+    snr = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1e-17, 2.0, 5.0]), st.floats(0.5, 200.0)), min_size=m, max_size=m
+    ))
+    units = draw(st.lists(st.integers(0, 30), min_size=m, max_size=m))
+    for i in range(1, m):
+        if draw(st.booleans()):  # ties an earlier offer's SNR and price
+            j = draw(st.integers(0, i - 1))
+            snr[i], units[i] = snr[j], units[j]
+    cap = draw(st.integers(0, sum(units) + 5))
+    return np.array(snr), np.array(units, dtype=float) / resolution, cap, resolution
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(traceback_columns())
+def test_property_knapsack_returns_its_subset_at_every_cap_down_to_its_units(column):
+    # The rule the splits of one overall call share their knapsacks by.
+    snr, transfer, cap, resolution = column
+    subset = knapsack_01(snr, transfer, cap / resolution, resolution)
+    used = int(np.ceil(transfer[subset] * resolution - _UNIT_SNAP).sum())
+    assert used <= cap
+    for units in range(used, cap + 1):
+        assert math.floor(units / resolution * resolution + _UNIT_SNAP) == units
+        assert knapsack_01(snr, transfer, units / resolution, resolution) == subset
 
 
 # -- frozen offers parser -----------------------------------------------------
