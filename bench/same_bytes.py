@@ -29,8 +29,10 @@ compares every output file byte for byte:
   after the knapsack it solves first, by estimated bound drop; a later
   split that takes an earlier one's knapsack subset, its cap between the
   subset's units and the earlier cap, where that subset settles a tie; a
-  later cap above the earlier one, so that knapsack is solved again; and a
+  later cap above the earlier one, so that knapsack is solved again; a
   two-offer knapsack, whose DP is its first row and one last comparison;
+  SSCPA above every split's cheap bound, so no split plan is built, and
+  equal to them; and valid offers that only the full offer checks pass;
 - `contracts` and `table3` at their defaults.
 
 Prints each output's sha256 on both sides and exits 1 if any output
@@ -112,6 +114,19 @@ EDGE_OFFERS = {
     "reuse_above": (["0,0,15,1", "0,1,5,0.5", "1,0,15,1", "1,1,10,1"], ("3",)),
     # One subcarrier: the three splits share ESW's two-offer knapsack.
     "two_offers": (["0,0,10,1", "1,0,10,0.5"], ("1",)),
+    # At budget 2 no share reaches the 1.2 offer, which SSCPA buys: every
+    # cheap bound, log2(32) with the margin, is below SSCPA's log2(32) + 1,
+    # so no plan is built.  At budget 1 SSCPA cannot buy it, and the plan is built.
+    "cheap_below": (["0,0,31,0.5", "0,1,1,1.2"], ("2", "1")),
+    # The same, with an SNR on the 1.2 offer at which SSCPA's capacity equals
+    # every cheap bound, and every plan bound: the splits run and lose.
+    "cheap_equal": (["0,0,31,0.5", "0,1,4.158883126770264e-09,1.2"], ("2",)),
+    # Valid offers that the fused check cannot pass, so the full checks
+    # build them: twice the largest SNR, 1e308, times the relay count
+    # overflows, though no SNR sum does; and 1e300 over the smallest price,
+    # 1e-10, overflows, though each offer's own ratio is finite.
+    "checked_sum": (["0,0,1e308,1", "0,1,5,0.5", "1,1,3,0.25"], ("1", "2")),
+    "checked_ratio": (["0,0,1e300,1", "1,0,1,1e-10", "0,1,5,0.5"], ("1", "2")),
 }
 
 

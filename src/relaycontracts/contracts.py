@@ -126,7 +126,8 @@ def relay_utility(pair: ContractPair, theta: float, cost_coeff: float) -> float:
     if not theta > 0.0:
         raise ValueError("relay type must be positive")
     _check_cost(cost_coeff)
-    return pair.transfer - cost_coeff * pair.snr / theta
+    # In float64 whatever scalar types the pair and arguments carry.
+    return float(pair.transfer) - float(cost_coeff) * float(pair.snr) / float(theta)
 
 
 def _snr_from_marginal_cost(chat):
@@ -274,10 +275,19 @@ def select_best_contract(menu: ContractMenu, theta: float) -> int | None:
     return None if best < 0 else best
 
 
-def _utilities(snrs: np.ndarray, transfers: np.ndarray, cost_coeff: float, types: np.ndarray):
+def _utilities(snrs: np.ndarray, transfers: np.ndarray, cost_coeff: float, types: np.ndarray, low: float):
     """utilities[..., j] = t_j - c*snr_j/theta: the profit of every type in
-    `types` from every menu pair, built in one buffer of shape types.shape + (K,)."""
-    utilities = cost_coeff * snrs / types[..., None]
+    `types` from every menu pair, built in one buffer of shape types.shape + (K,).
+
+    `low` is the smallest type.  A finite c*snr over a type of 1 or more
+    stays finite; below 1 it may overflow, to a utility of -inf, the right
+    one: the null contract beats that pair.
+    """
+    if low < 1.0:
+        with np.errstate(over="ignore"):
+            utilities = cost_coeff * snrs / types[..., None]
+    else:
+        utilities = cost_coeff * snrs / types[..., None]
     return np.subtract(transfers, utilities, out=utilities)
 
 
@@ -289,9 +299,10 @@ def _best_response(snrs: np.ndarray, transfers: np.ndarray, cost_coeff: float, t
     strictly negative.  Types must be positive.
     """
     types = np.asarray(types, dtype=float)
-    if not np.all(types > 0.0):
+    low = types.min(initial=math.inf)  # NaN if any type is NaN
+    if not low > 0.0:
         raise ValueError("relay type must be positive")
-    utilities = _utilities(snrs, transfers, cost_coeff, types)
+    utilities = _utilities(snrs, transfers, cost_coeff, types, low)
     best = utilities.argmax(axis=-1)
     keep = np.take_along_axis(utilities, best[..., None], axis=-1)[..., 0] >= 0.0
     return np.where(keep, best, -1)
@@ -405,7 +416,7 @@ def verify_menu(menu: ContractMenu) -> MenuAudit:
     c = menu.cost_coeff
 
     # utilities[k, j]: type k's profit from taking pair j
-    utilities = _utilities(gammas, transfers, c, deltas)
+    utilities = _utilities(gammas, transfers, c, deltas, deltas[0])
     own = np.diag(utilities).copy()
 
     ir = own >= -tol

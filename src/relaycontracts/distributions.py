@@ -33,6 +33,12 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_array_bytes(count: int, what: str) -> None:
+    """Refuse, before allocating, a float array of `count` values over the byte cap."""
+    if count > _MAX_ARRAY_BYTES // 8:  # not 8 * count, which wraps for a large NumPy count
+        raise ValueError(f"{what} exceeds 2**28 bytes")
+
+
 class DistributionKind(str, Enum):
     UNIFORM = "uniform"
     TRUNCATED_EXPONENTIAL = "truncated_exponential"
@@ -118,7 +124,8 @@ class TypeDistribution:
             out = (x - self.low) / span
         elif self.kind is DistributionKind.TRUNCATED_EXPONENTIAL:
             a = self.rate
-            out = -np.expm1(-a * np.clip(x - self.low, 0.0, span))
+            with np.errstate(over="ignore"):  # a positive rate's product may reach -inf: expm1 is -1 there
+                out = -np.expm1(-a * np.clip(x - self.low, 0.0, span))
             out = out / -np.expm1(-a * span)
         else:
             gains = np.array([g for g, _ in self.cdf_points])
@@ -154,6 +161,7 @@ def quantize_types(dist: TypeDistribution, k: int) -> np.ndarray:
     _check_integer("quantization factor", k)
     if k < 1:
         raise ValueError(f"quantization factor must be >= 1, got {k}")
+    _check_array_bytes(k, f"type grid of {k} types")
     step = (dist.high - dist.low) / k
     return dist.low + step * np.arange(k)
 
@@ -202,8 +210,10 @@ def sample_type_vector(
     dist: TypeDistribution, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """One relay's private type vector: n independent draws from dist."""
+    _check_integer("subcarrier count", n)
     if n < 0:
         raise ValueError("subcarrier count must be non-negative")
+    _check_array_bytes(n, f"type vector of {n} draws")
     return dist.sample(n, rng)
 
 
@@ -256,10 +266,7 @@ class TypeGrid:
         k: int,
         n_subcarriers: int,
     ) -> "TypeGrid":
-        if 8 * k * n_subcarriers > _MAX_ARRAY_BYTES:
-            raise ValueError(
-                f"type grid of {k} types x {n_subcarriers} subcarriers exceeds 2**28 bytes"
-            )
+        _check_array_bytes(k * n_subcarriers, f"type grid of {k} types x {n_subcarriers} subcarriers")
         base = dist if isinstance(dist, TypeDistribution) else dist[0]
         deltas = quantize_types(base, k)
         probs = type_probabilities(dist, deltas, n_subcarriers)

@@ -97,7 +97,14 @@ def _with_margin(bound):
 
 @dataclass(frozen=True)
 class OfferMatrix:
-    """Accepted contract pairs per (relay, subcarrier); zeros mean no offer."""
+    """Accepted contract pairs per (relay, subcarrier); zeros mean no offer.
+
+    Offers must be finite and non-negative, a null offer (SNR 0) must be
+    free, and no SNR sum per subcarrier, running price total or SNR per
+    unit transfer may overflow.  A fused check settles all of these from
+    the extremes of both arrays (`_fast_efficiency`); where it cannot, or
+    the matrix is empty, the full checks run and name the first failure.
+    """
 
     snr: np.ndarray
     transfer: np.ndarray
@@ -111,23 +118,9 @@ class OfferMatrix:
         transfer = np.ascontiguousarray(self.transfer, dtype=float)
         if snr.ndim != 2 or snr.shape != transfer.shape:
             raise ValueError("snr and transfer must be equal-shape 2-D arrays")
-        if not np.all((snr >= 0.0) & (snr < np.inf) & (transfer >= 0.0) & (transfer < np.inf)):
-            raise ValueError("offers must be finite and non-negative")
-        if np.any((snr == 0.0) & (transfer > 0.0)):
-            raise ValueError("null offers must carry zero transfer")
-        with np.errstate(over="ignore"):  # methods add SNRs per subcarrier, prices overall
-            sums = {"SNR sum": snr.sum(axis=0), "running total transfer": np.cumsum(transfer.sum(axis=0))}
-        for what, values in sums.items():
-            if not np.all(values < np.inf):
-                n = int(np.argmax(values == np.inf))
-                raise ValueError(f"offers overflow at subcarrier {n}: its {what} is inf")
-        with np.errstate(over="ignore"):
-            ratio = np.divide(snr, transfer, out=np.zeros_like(snr), where=transfer > 0.0)
-        if not np.all(ratio < np.inf):
-            m, n = np.argwhere(ratio == np.inf)[0]
-            raise ValueError(
-                f"offer ({m}, {n}) SNR per unit transfer overflows: {snr[m, n]:g} / {transfer[m, n]:g}"
-            )
+        ratio = _fast_efficiency(snr, transfer)
+        if ratio is None:
+            ratio = _checked_efficiency(snr, transfer)
         order = np.argsort(-ratio, axis=0, kind="stable")
         for name, values in (
             ("snr", snr), ("transfer", transfer), ("efficiency", ratio), ("efficiency_order", order)
@@ -142,6 +135,56 @@ class OfferMatrix:
     @property
     def n(self) -> int:
         return self.snr.shape[1]
+
+
+def _fast_efficiency(snr: np.ndarray, transfer: np.ndarray) -> np.ndarray | None:
+    """SNR per unit transfer, 0 where free, if the extremes prove the offers
+    valid; else None.
+
+    In Python floats, so nothing warns: both minima are >= 0 (NaN fails);
+    twice the largest SNR times M and the largest price times M*N are
+    finite, so no SNR sum or running price total can reach inf, even with
+    rounding; the largest SNR over the smallest positive price is finite, so
+    no ratio overflows; and every paid offer has a positive SNR.
+    """
+    if snr.size == 0:
+        return None
+    paid = transfer > 0.0
+    cheapest = float(transfer.min(where=paid, initial=math.inf))
+    top_snr, top_price = float(snr.max()), float(transfer.max())
+    if not (
+        float(snr.min()) >= 0.0
+        and float(transfer.min()) >= 0.0
+        and 2.0 * top_snr * snr.shape[0] < math.inf
+        and 2.0 * top_price * snr.size < math.inf
+        and top_snr / cheapest < math.inf
+        and snr.min(where=paid, initial=math.inf) > 0.0
+    ):
+        return None
+    return np.divide(snr, transfer, out=np.zeros_like(snr), where=paid)
+
+
+def _checked_efficiency(snr: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+    """SNR per unit transfer, 0 where free, after each check in turn; the
+    first that fails raises its named ValueError."""
+    if not np.all((snr >= 0.0) & (snr < np.inf) & (transfer >= 0.0) & (transfer < np.inf)):
+        raise ValueError("offers must be finite and non-negative")
+    if np.any((snr == 0.0) & (transfer > 0.0)):
+        raise ValueError("null offers must carry zero transfer")
+    with np.errstate(over="ignore"):  # methods add SNRs per subcarrier, prices overall
+        sums = {"SNR sum": snr.sum(axis=0), "running total transfer": np.cumsum(transfer.sum(axis=0))}
+    for what, values in sums.items():
+        if not np.all(values < np.inf):
+            n = int(np.argmax(values == np.inf))
+            raise ValueError(f"offers overflow at subcarrier {n}: its {what} is inf")
+    with np.errstate(over="ignore"):
+        ratio = np.divide(snr, transfer, out=np.zeros_like(snr), where=transfer > 0.0)
+    if not np.all(ratio < np.inf):
+        m, n = np.argwhere(ratio == np.inf)[0]
+        raise ValueError(
+            f"offer ({m}, {n}) SNR per unit transfer overflows: {snr[m, n]:g} / {transfer[m, n]:g}"
+        )
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -168,6 +211,12 @@ class SelectionProblem:
                 f"offer ({m}, {n}) transfer {self.offers.transfer[m, n]:g} at resolution "
                 f"{self.resolution} is 2**53 money units or more"
             )
+
+    @property
+    def _split_caps(self) -> _SplitCaps:  # built on first use, once per problem
+        if "_caps" not in self.__dict__:
+            object.__setattr__(self, "_caps", _cap_splits(self))
+        return self.__dict__["_caps"]
 
     @property
     def _split_plan(self) -> _SplitPlan:  # built on first use, once per problem
@@ -345,8 +394,53 @@ def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
             return np.zeros(offers.n)
         return offers.efficiency.sum(axis=0) / offers.m
     sum_t = offers.transfer.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(sum_t > 0.0, offers.snr.sum(axis=0) / sum_t, 0.0)
+    return np.divide(offers.snr.sum(axis=0), sum_t, out=np.zeros(offers.n), where=sum_t > 0.0)
+
+
+@dataclass
+class _SplitCaps:
+    """One row per split, ESW, ASW, NSW: its shares, caps and usable offers,
+    and a cheap bound on its capacity that needs no fractional fill.  The
+    usable offers in relay order, which only a running split reads, come
+    with the plan."""
+
+    weight_sums: np.ndarray  # (3,) each split's budget weights summed, inf where they overflow
+    sub_budgets: np.ndarray  # (3, N) budget shares
+    caps: np.ndarray  # (3, N) the shares in `knapsack_01`'s money units, NaN where weights sum to 0
+    units: np.ndarray  # (M, N) each offer's price in money units, rounded up as charged
+    ordered: np.ndarray  # (3, M, N) the offers each cap lets `knapsack_01` use, in efficiency order
+    snr: np.ndarray  # (M, N) the offers' SNRs in efficiency order
+    bounds: list[float]  # each split's cheap bound, -inf where its weights overflow
+
+
+def _cap_splits(problem: SelectionProblem) -> _SplitCaps:
+    """Each split's budget shares, their caps, its usable offers and a cheap bound.
+
+    An offer is usable under a cap where its SNR is positive and its units,
+    ceil(t*resolution - _UNIT_SNAP), fit the cap.  Caps are whole numbers,
+    NaN or inf, so this is the plan's test t*resolution - _UNIT_SNAP <= cap,
+    and a NaN cap makes nothing usable.  The cheap bound buys every usable
+    offer whole: the sum over subcarriers of log2(1 + their SNR sum), with
+    `_with_margin`, or -inf where the weights overflow.  The plan's fill
+    buys a share in [0, 1] of the same offers, summed in the same order and
+    shape, so the cheap bound is never below the plan bound.
+    """
+    offers, resolution = problem.offers, problem.resolution
+    units = _price_units(offers.transfer, resolution)
+    order = offers.efficiency_order, np.arange(offers.n)
+    snr = offers.snr[order]
+    with np.errstate(over="ignore", invalid="ignore"):  # weight sums of inf or 0, inf shares
+        weights = np.array([weight_profile(offers, kind) for kind in _SPLIT_KINDS])
+        weight_sums = weights.sum(axis=1)
+        sub_budgets = weights * problem.budget / weight_sums[:, None]
+        caps = _money_units(sub_budgets, resolution)
+        ordered = (snr > 0.0) & (units[order] <= caps[:, None, :])
+        reach = np.log2(1.0 + np.where(ordered, snr, 0.0).sum(axis=1)).sum(axis=1)
+    bounds = [
+        _with_margin(total) if weight_sum < math.inf else -math.inf
+        for total, weight_sum in zip(reach.tolist(), weight_sums.tolist())
+    ]
+    return _SplitCaps(weight_sums, sub_budgets, caps, units, ordered, snr, bounds)
 
 
 @dataclass
@@ -354,8 +448,9 @@ class _SplitPlan:
     """One row per split, ESW, ASW, NSW.  The bounds order the splits, and
     each row's terms - estimates the knapsacks of its split."""
 
-    sub_budgets: np.ndarray  # (3, N) budget shares
-    caps: np.ndarray  # (3, N) the shares in `knapsack_01`'s money units, NaN where weights sum to 0
+    sub_budgets: np.ndarray  # (3, N) budget shares, as in `_SplitCaps`
+    caps: np.ndarray  # (3, N) their money units, as in `_SplitCaps`
+    usable: np.ndarray  # (3, M, N) the offers each cap lets `knapsack_01` use, in relay order
     terms: np.ndarray  # (3, N) log2(1 + each subcarrier's fractional knapsack optimum)
     bounds: list[float]  # each split's capacity bound, -inf where its weights overflow
     bought: np.ndarray  # (3, M, N) the share of each offer, in efficiency order, the fill buys
@@ -372,29 +467,24 @@ class _SplitPlan:
 
 
 def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
-    """Each split's budget shares, their caps, and upper bounds on its capacity.
+    """Upper bounds on each split's capacity, from the caps stage (`_cap_splits`).
 
     A subset the split takes on subcarrier n has price units summing to at
     most its cap, and an offer's units are at least t*resolution -
     _UNIT_SNAP, so with weights t*resolution the subset fits room cap +
-    M*_UNIT_SNAP.  The fractional optimum fills that room in efficiency
-    order, the break offer in part; free offers count whole.  A cap of NaN
-    (weights summing to zero) buys nothing, not even a free offer: its terms
-    and estimates are 0, as the split takes nothing there.  An infinite cap
-    buys every offer.  A split's bound is its terms' sum with `_with_margin`,
-    or -inf where its weights overflow, so the split refuses to run.  A
-    term's estimate counts only the offers the fill buys whole.
+    M*_UNIT_SNAP.  The fractional optimum fills that room with the usable
+    offers in efficiency order, the break offer in part; free offers count
+    whole.  A cap of NaN (weights summing to zero) buys nothing, not even a
+    free offer: its terms and estimates are 0, as the split takes nothing
+    there.  An infinite cap buys every offer.  A split's bound is its terms'
+    sum with `_with_margin`, or -inf where its weights overflow, so the
+    split refuses to run.  A term's estimate counts only the offers the
+    fill buys whole.
     """
-    offers, resolution = problem.offers, problem.resolution
-    with np.errstate(over="ignore", invalid="ignore"):  # weight sums of inf or 0, inf shares
-        profiles = [weight_profile(offers, kind) for kind in _SPLIT_KINDS]
-        weight_sums = np.array([weights.sum() for weights in profiles])
-        sub_budgets = np.stack(profiles) * problem.budget / weight_sums[:, None]
-        caps = _money_units(sub_budgets, resolution)
-        order = offers.efficiency_order, np.arange(offers.n)
-        snr, priced = offers.snr[order], offers.transfer[order] * resolution
-        # The split's usable offers: their units, ceil(priced - snap), fit the cap.
-        usable = (snr > 0.0) & (priced - _UNIT_SNAP <= caps[:, None, :])
+    offers, stage = problem.offers, problem._split_caps
+    caps, usable = stage.caps, stage.ordered
+    with np.errstate(over="ignore", invalid="ignore"):  # inf caps, shares of prices near 0
+        priced = offers.transfer[offers.efficiency_order, np.arange(offers.n)] * problem.resolution
         weight = np.where(usable, priced, 0.0)
         ahead = np.zeros_like(weight)
         np.cumsum(weight[:, :-1, :], axis=1, out=ahead[:, 1:, :])
@@ -402,9 +492,10 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
         bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
         np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
     np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
-    terms = np.log2(1.0 + (bought * snr).sum(axis=1))
-    bounds = np.where(weight_sums < math.inf, _with_margin(terms.sum(axis=1)), -math.inf)
-    return _SplitPlan(sub_budgets, caps, terms, bounds.tolist(), bought, snr)
+    terms = np.log2(1.0 + (bought * stage.snr).sum(axis=1))
+    bounds = np.where(stage.weight_sums < math.inf, _with_margin(terms.sum(axis=1)), -math.inf)
+    relay_usable = (offers.snr > 0.0) & (stage.units <= caps[:, None, :])
+    return _SplitPlan(stage.sub_budgets, caps, relay_usable, terms, bounds.tolist(), bought, stage.snr)
 
 
 def _reused(solved: list[list], cap: float, units: np.ndarray, n: int) -> list[int] | None:
@@ -467,8 +558,7 @@ def weighted_split_selection(
     if plan.bounds[row] == -math.inf:
         raise ValueError(f"{kind.value} budget weights overflow: their sum is inf")
     resolution, sub_budgets, caps = problem.resolution, plan.sub_budgets[row], plan.caps[row]
-    units = _price_units(offers.transfer, resolution)
-    usable = (offers.snr > 0.0) & (units <= caps)
+    units, usable = problem._split_caps.units, plan.usable[row]
     # Float sums of whole units are exact below 2**53 and stay at or above it, where int64
     # sums of many prices near 2**53 units would wrap.  A NaN cap fits: nothing under it is usable.
     fits = ~(np.where(usable, units, 0.0).sum(axis=0) > caps)
@@ -541,10 +631,13 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
 def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     """Best of the ESW/ASW/NSW splits and SSCPA; ties keep the earlier method.
 
-    SSCPA runs first, then the splits by descending `_plan_splits` bound,
-    equal bounds in ESW, ASW, NSW order, so the likeliest winner raises the
-    best capacity so far early.  A split whose bound is below that best
-    cannot win and does not run.  One that runs gets the best as its
+    SSCPA runs first.  Where every split's cheap bound (`_cap_splits`) is
+    below its capacity, no split can reach it: SSCPA is the result, and the
+    split plan is never built.  Otherwise the splits run by descending
+    `_plan_splits` bound, never above the cheap one, equal bounds in ESW,
+    ASW, NSW order, so the likeliest winner raises the best capacity so
+    far early.  A split whose bound is below that best cannot win and
+    does not run.  One that runs gets the best as its
     `floor` and stops once its running bound falls below it, with a
     capacity below the final best.  The result is the first maximum, in
     ESW, ASW, NSW, SSCPA order, among the candidates that ran.  Only a
@@ -562,7 +655,10 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     holds on average only.
     """
     ran = [None, None, None, sscpa(problem)]  # by rank: ESW, ASW, NSW, SSCPA
-    best, bounds = ran[3].capacity, problem._split_plan.bounds
+    best = ran[3].capacity
+    if max(problem._split_caps.bounds) < best:  # no split can reach SSCPA: no plan to build
+        return replace(ran[3], method=SelectionMethod.OVERALL)
+    bounds = problem._split_plan.bounds
     solved: dict[int, list[list]] = {}  # the knapsacks the splits solve, for the later ones
     for row in sorted(range(3), key=bounds.__getitem__, reverse=True):  # stable on ties
         if bounds[row] < best:

@@ -102,6 +102,18 @@ def test_first_best_rejects_bad_arguments():
             first_best_contract(50.0, 1e-320)
 
 
+def test_a_vanishing_type_and_a_float32_pair_give_the_right_answer_without_a_warning(table3_menu):
+    # c*snr/theta overflows at a type of 5e-324: every pair's utility is
+    # -inf, and the relay keeps the null contract.  A float32 SNR is
+    # computed in float64: 1 - 2.5e300, not float32's -inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert select_best_contract(table3_menu, 5e-324) is None
+        assert _best_response(table3_menu.snrs, table3_menu.transfers, 1.0, [5e-324, 300.0]).tolist() == [-1, 9]
+        utility = relay_utility(ContractPair(np.float32(2.5), 1.0), 1e-300, 1.0)
+    assert type(utility) is float and utility == 1.0 - 2.5 / 1e-300
+
+
 def test_types_whose_marginal_cost_overflows_are_named_errors():
     # c/theta = 1e310 overflows: the type is at fault, not the cost.
     grid = TypeGrid(np.array([1e-310, 5e-310]), np.full((2, 2), 0.5))

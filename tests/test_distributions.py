@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import relaycontracts.distributions as distributions_module
 from relaycontracts import (
     TypeDistribution,
     TypeGrid,
@@ -151,6 +153,37 @@ def test_samples_stay_in_support():
         draws = dist.sample(5000, np.random.default_rng(5))
         assert np.all(draws >= dist.low)
         assert np.all(draws <= dist.high)
+
+
+@pytest.mark.parametrize("count", [2**53, 2**62, np.int64(2**61)])
+def test_counts_past_the_array_cap_are_refused_before_allocating(count):
+    # 8 bytes a value: numpy would be asked for 64 PiB or more, and 8 times
+    # the int64 count wraps, so only a check on a Python int refuses these.
+    dist = TypeDistribution.uniform(50.0, 300.0)
+    with pytest.raises(ValueError, match=rf"type grid of {count} types exceeds 2\*\*28 bytes"):
+        quantize_types(dist, count)
+    with pytest.raises(ValueError, match=rf"type vector of {count} draws exceeds 2\*\*28 bytes"):
+        sample_type_vector(dist, count, np.random.default_rng(0))
+
+
+def test_the_array_cap_counts_8_bytes_a_value(monkeypatch):
+    monkeypatch.setattr(distributions_module, "_MAX_ARRAY_BYTES", 80)
+    dist = TypeDistribution.uniform(50.0, 300.0)
+    assert quantize_types(dist, 10).size == sample_type_vector(dist, 10, np.random.default_rng(0)).size == 10
+    with pytest.raises(ValueError, match="type grid of 11 types exceeds"):
+        quantize_types(dist, 11)
+    with pytest.raises(ValueError, match="type vector of 11 draws exceeds"):
+        sample_type_vector(dist, 11, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="type grid of 5 types x 3 subcarriers exceeds"):
+        TypeGrid.from_distribution(dist, 5, 3)
+
+
+def test_a_cdf_whose_rate_times_the_span_overflows_is_right_without_a_warning():
+    # rate 1e308 puts all the mass on the bottom type; rate * 250 is -inf in the exponent.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = TypeGrid.from_distribution(TypeDistribution.truncated_exponential(50, 300, 1e308), 3, 2)
+    assert grid.probs.tolist() == [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
 
 
 def test_empirical_cdf_validation():

@@ -1244,9 +1244,11 @@ def split_bounds(problem):
 
 
 def assert_bounds_dominate_splits(problem):
-    """Each split's plan bound is at least its capacity; a split
-    whose weights overflow has bound -inf."""
+    """Each split's plan bound is at least its capacity, and its cheap
+    bound at least its plan bound; a split whose weights overflow has bound -inf."""
     bounds = split_bounds(problem)
+    # The caps stage's cheap bound buys every usable offer whole: never below the plan's.
+    assert (np.array(problem._split_caps.bounds) >= bounds).all()
     for kind, bound in zip((SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW), bounds):
         try:
             assert bound >= weighted_split_selection(problem, kind).capacity
@@ -1621,6 +1623,162 @@ def test_overall_runs_only_the_splits_whose_weights_sum(monkeypatch):
     offers = OfferMatrix(np.array([[1e300, 1e300]]), np.array([[1e-8, 1e-8]]))
     assert overall_heuristic(SelectionProblem(offers, 1.0)).subsets == ((0,), (0,))
     assert kinds == [SelectionMethod.ESW]
+
+
+# -- fused offer checks and the caps stage -----------------------------------
+
+
+def reference_efficiency(snr, transfer):
+    """Frozen copy of the checked OfferMatrix build: each check in turn, then
+    the efficiency and its order."""
+    snr = np.ascontiguousarray(snr, dtype=float)
+    transfer = np.ascontiguousarray(transfer, dtype=float)
+    if not np.all((snr >= 0.0) & (snr < np.inf) & (transfer >= 0.0) & (transfer < np.inf)):
+        raise ValueError("offers must be finite and non-negative")
+    if np.any((snr == 0.0) & (transfer > 0.0)):
+        raise ValueError("null offers must carry zero transfer")
+    with np.errstate(over="ignore"):
+        sums = {"SNR sum": snr.sum(axis=0), "running total transfer": np.cumsum(transfer.sum(axis=0))}
+    for what, values in sums.items():
+        if not np.all(values < np.inf):
+            n = int(np.argmax(values == np.inf))
+            raise ValueError(f"offers overflow at subcarrier {n}: its {what} is inf")
+    with np.errstate(over="ignore"):
+        ratio = np.divide(snr, transfer, out=np.zeros_like(snr), where=transfer > 0.0)
+    if not np.all(ratio < np.inf):
+        m, n = np.argwhere(ratio == np.inf)[0]
+        raise ValueError(
+            f"offer ({m}, {n}) SNR per unit transfer overflows: {snr[m, n]:g} / {transfer[m, n]:g}"
+        )
+    return ratio, np.argsort(-ratio, axis=0, kind="stable")
+
+
+def assert_offers_build_as_checked(snr, transfer):
+    """OfferMatrix raises the checked build's error, or builds its efficiency
+    and order bit for bit; either way without a warning.  Returns the offers
+    or None."""
+    try:
+        ratio, order = reference_efficiency(snr, transfer)
+    except ValueError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                OfferMatrix(snr, transfer)
+        assert str(raised.value) == str(exc)
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        offers = OfferMatrix(snr, transfer)
+    assert offers.efficiency.tobytes() == ratio.tobytes()
+    assert offers.efficiency_order.tobytes() == order.tobytes()
+    return offers
+
+
+_EDGE_SNR = st.one_of(st.floats(0.5, 200.0), st.sampled_from([0.0, 0.0, 1e-17, 3.0, 1e300]))
+_EDGE_TRANSFER = st.one_of(st.floats(1e-3, 3.0), st.sampled_from([0.0, 1.0, 1e-8]))
+
+
+@st.composite
+def caps_edge_problems(draw):
+    """Problems at the caps stage's edges, at resolutions 1, 10 and 1000:
+    free offers, all-free offers whose ASW and NSW weights sum to zero (NaN
+    caps), SNRs of 1e300 at a price of 1e-8 whose ASW and NSW weights
+    overflow, and budgets of 1e300 and 1e306 whose shares reach inf caps."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    snr = np.array(draw(st.lists(_EDGE_SNR, min_size=m * n, max_size=m * n)), dtype=float).reshape(m, n)
+    transfer = np.array(draw(st.lists(_EDGE_TRANSFER, min_size=m * n, max_size=m * n)), dtype=float)
+    transfer = transfer.reshape(m, n)
+    shape = draw(st.integers(0, 4))
+    if shape == 0:  # every offer free
+        transfer = np.zeros_like(transfer)
+    elif shape == 1 and m:  # relay 0 offers SNR 1e308 per unit price everywhere
+        snr[0], transfer[0] = 1e300, 1e-8
+    transfer[snr == 0.0] = 0.0
+    budget = draw(st.one_of(
+        st.floats(0.0, 20.0),
+        st.sampled_from([0.0, 1e300, 1e306]),
+        st.floats(0.0, 1.5).map(lambda share: share * float(transfer.sum())),
+    ))
+    return snr, transfer, budget, draw(st.sampled_from([1, 10, 1000]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(caps_edge_problems())
+def test_property_offers_and_caps_stage_match_the_checked_build_and_the_plan(case):
+    snr, transfer, budget, resolution = case
+    offers = assert_offers_build_as_checked(snr, transfer)
+    problem = SelectionProblem(offers, budget, resolution)
+    result = overall_heuristic(problem)
+    cheap, sequential = problem._split_caps.bounds, sscpa(problem)
+    # The plan is built exactly where some cheap bound reaches SSCPA's capacity.
+    assert ("_plan" in vars(problem)) == (max(cheap) >= sequential.capacity)
+    if max(cheap) < sequential.capacity:
+        assert (result.subsets, result.capacity, result.spend) == (
+            sequential.subsets, sequential.capacity, sequential.spend
+        )
+    assert (np.array(cheap) >= split_bounds(problem)).all()
+
+
+@pytest.mark.parametrize("snr, transfer, message", [
+    pytest.param([[math.nan]], [[1.0]], "offers must be finite and non-negative", id="nan-snr"),
+    pytest.param([[1.0]], [[math.nan]], "offers must be finite and non-negative", id="nan-transfer"),
+    pytest.param([[math.inf]], [[1.0]], "offers must be finite and non-negative", id="inf-snr"),
+    pytest.param([[1.0]], [[-math.inf]], "offers must be finite and non-negative", id="minus-inf-transfer"),
+    pytest.param([[-math.inf, 0.0]], [[0.0, 1.0]], "offers must be finite and non-negative", id="first-check-first"),
+    pytest.param([[0.0, 1.0]], [[1.0, 2.2e-311]], "null offers must carry zero transfer", id="null-before-ratio"),
+    pytest.param([[1.0]], [[2.2e-311]], r"offer (0, 0) SNR per unit transfer overflows: 1 / 2.2e-311", id="ratio"),
+    pytest.param([[1e308], [1e308]], [[1.0], [1.0]], "offers overflow at subcarrier 0: its SNR sum is inf",
+                 id="snr-sum"),
+    pytest.param([[5.0, 5.0]], [[1e308, 1e308]], "offers overflow at subcarrier 1: its running total transfer is inf",
+                 id="price-total"),
+])
+def test_offers_that_leave_the_fast_path_raise_their_named_error(snr, transfer, message):
+    snr, transfer = np.array(snr), np.array(transfer)
+    assert selection_module._fast_efficiency(snr, transfer) is None
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reference_efficiency(snr, transfer)
+    assert assert_offers_build_as_checked(snr, transfer) is None
+
+
+@pytest.mark.parametrize("snr, transfer", [
+    pytest.param(np.zeros((0, 3)), np.zeros((0, 3)), id="empty"),
+    pytest.param([[1e308]], [[1.0]], id="snr-sum-near-the-largest-float"),
+    pytest.param([[1.0, 5.0]], [[1e308, 0.5]], id="price-total-near-the-largest-float"),
+    pytest.param([[1e300, 1.0]], [[1.0, 1e-10]], id="ratio-bound-overflows-each-ratio-finite"),
+])
+def test_valid_offers_that_leave_the_fast_path_build_as_checked(snr, transfer):
+    snr, transfer = np.array(snr, dtype=float), np.array(transfer, dtype=float)
+    assert selection_module._fast_efficiency(snr, transfer) is None
+    assert assert_offers_build_as_checked(snr, transfer) is not None
+
+
+def test_overall_builds_no_split_plan_where_sscpa_beats_every_cheap_bound(monkeypatch):
+    # Every share is 1.0, and each offer costs 1.01, so no split can use
+    # one: every cheap bound is 1e-9.  SSCPA buys the offer on subcarrier 0.
+    plans = []
+    original = selection_module._plan_splits
+
+    def counting_plan(problem):
+        plans.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(selection_module, "_plan_splits", counting_plan)
+    problem = SelectionProblem(OfferMatrix(np.array([[100.0, 100.0]]), np.array([[1.01, 1.01]])), 2.0)
+    result = overall_heuristic(problem)
+    best = sscpa(problem)
+    assert problem._split_caps.bounds == [1e-9, 1e-9, 1e-9] < [best.capacity] * 3
+    assert plans == []
+    assert (result.subsets, result.capacity, result.method) == (best.subsets, best.capacity, SelectionMethod.OVERALL)
+    # A cheap bound that reaches SSCPA's capacity builds the plan, once;
+    # so does one equal to it, where SSCPA buys log2(32) and an offer of
+    # SNR 4.2e-9 that no share reaches.
+    problem = SelectionProblem(OfferMatrix(np.array([[100.0, 100.0]]), np.array([[1.0, 1.01]])), 2.0)
+    overall_heuristic(problem)
+    assert max(problem._split_caps.bounds) > sscpa(problem).capacity
+    equal = SelectionProblem(OfferMatrix(np.array([[31.0, 4.158883126770264e-09]]), np.array([[0.5, 1.2]])), 2.0)
+    result = overall_heuristic(equal)
+    assert equal._split_caps.bounds == [sscpa(equal).capacity] * 3 == [result.capacity] * 3
+    assert plans == [problem, equal]
 
 
 # -- property tests against the reference copies ------------------------------

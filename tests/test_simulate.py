@@ -27,6 +27,7 @@ from relaycontracts import (
     quantize_types,
     reproduce_table3,
     run_experiment,
+    sample_type_vector,
     second_best_menu,
     select_best_contract,
     simulate_round,
@@ -357,6 +358,10 @@ def test_config_rejects_non_finite_budget_and_cost(field, value):
                  id="resolution-2**53"),
     pytest.param(quantize_types, {"dist": TypeDistribution.uniform(50.0, 300.0), "k": 2.5},
                  "quantization factor must be an integer", id="quantize_types"),
+    *(pytest.param(sample_type_vector, {"dist": TypeDistribution.uniform(50.0, 300.0), "n": n,
+                                        "rng": np.random.default_rng(0)},
+                   "subcarrier count must be an integer", id=f"sample_type_vector-{n!r}")
+      for n in (2.5, True, np.float64(3.0))),
     pytest.param(SelectionProblem, {"offers": OfferMatrix(np.ones((1, 1)), np.ones((1, 1))), "budget": 1.0,
                                     "resolution": 2.5}, "resolution must be an integer", id="problem"),
     pytest.param(knapsack_01, {"snr_col": np.ones(1), "transfer_col": np.ones(1), "sub_budget": 1.0,
