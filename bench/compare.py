@@ -19,7 +19,8 @@ verdicts from the benchmark's own rules:
   than the metric's bound in BENCHMARK.json.
 
 It also records the failed-op counts and one manifest per side and
-workload.  The benchmark itself is not modified.
+workload, and prints one summary row per workload and metric on stderr.
+The benchmark itself is not modified.
 """
 
 from __future__ import annotations
@@ -148,7 +149,21 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+    for name, workload in report["workloads"].items():
+        for metric, row in workload["metrics"].items():
+            print(summary_row(name, metric, row, args.pairs), file=sys.stderr)
     return 0
+
+
+def summary_row(workload: str, metric: str, row: dict, pairs: int) -> str:
+    """One line: both medians, their ratio, pairs won, the parent's IQR and both verdicts."""
+    parent = row["parent"]
+    ratio = "n/a" if row["ratio"] is None else f"x{row['ratio']:.3f}"
+    return (
+        f"{workload} {metric} ({row['better']} is better): parent {parent['median']:.4g} "
+        f"change {row['change']['median']:.4g} {ratio} of parent, change won {row['change_wins']}/{pairs}, "
+        f"parent IQR {parent['q3'] - parent['q1']:.3g}, gain {row['gain']}, regression {row['regression']}"
+    )
 
 
 if __name__ == "__main__":

@@ -32,7 +32,9 @@ compares every output file byte for byte:
   later cap above the earlier one, so that knapsack is solved again; a
   two-offer knapsack, whose DP is its first row and one last comparison;
   SSCPA above every split's cheap bound, so no split plan is built, and
-  equal to them; and valid offers that only the full offer checks pass;
+  equal to them; valid offers that only the full offer checks pass; 64
+  subcarriers on a budget that buys two offers, so almost every subset
+  is empty; and a column whose declined offers lie between free ones;
 - `contracts` and `table3` at their defaults.
 
 Prints each output's sha256 on both sides and exits 1 if any output
@@ -127,6 +129,19 @@ EDGE_OFFERS = {
     # 1e-10, overflows, though each offer's own ratio is finite.
     "checked_sum": (["0,0,1e308,1", "0,1,5,0.5", "1,1,3,0.25"], ("1", "2")),
     "checked_ratio": (["0,0,1e300,1", "1,0,1,1e-10", "0,1,5,0.5"], ("1", "2")),
+    # Two relays on 64 subcarriers, relay 1 declining every third; prices
+    # from 1.0 up, so budget 2.5 buys two offers and 0.5 none.
+    "sparse_64": (
+        [f"0,{n},{10 + n % 7},{1 + n / 64!r}" for n in range(64)]
+        + [f"1,{n},{20 - n % 5},{1.5 + n / 128!r}" for n in range(64) if n % 3],
+        ("2.5", "0.5"),
+    ),
+    # Relays 1 and 3 decline on subcarrier 0 between the free relays 0, 2
+    # and 4; all five share efficiency 0 there, so they sit in relay order.
+    "declined_between_free": (
+        ["0,0,5,0", "1,0,0,0", "2,0,3,0", "3,0,0,0", "4,0,2,0", "0,1,10,1", "2,1,4,0.5", "3,1,0,0"],
+        ("0", "1"),
+    ),
 }
 
 

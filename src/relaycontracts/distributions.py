@@ -50,7 +50,10 @@ class TypeDistribution:
     """A bounded marginal distribution of relay types on [low, high].
 
     Unbounded supports are refused: callers must truncate at a confidence
-    level of their choosing before constructing the distribution.
+    level of their choosing before constructing the distribution.  Where a
+    truncated exponential's normaliser 1 - exp(-rate * span) overflows, at a
+    negative rate, `cdf` and `ppf` read X as low + high - Y, Y of the
+    opposite rate, whose normaliser is 1.
     """
 
     kind: DistributionKind
@@ -124,9 +127,13 @@ class TypeDistribution:
             out = (x - self.low) / span
         elif self.kind is DistributionKind.TRUNCATED_EXPONENTIAL:
             a = self.rate
-            with np.errstate(over="ignore"):  # a positive rate's product may reach -inf: expm1 is -1 there
-                out = -np.expm1(-a * np.clip(x - self.low, 0.0, span))
-            out = out / -np.expm1(-a * span)
+            with np.errstate(over="ignore"):  # a product may reach -inf: expm1 is -1 there
+                scale = -np.expm1(-a * span)
+                if scale > -np.inf:
+                    out = -np.expm1(-a * np.clip(x - self.low, 0.0, span)) / scale
+                else:  # mirrored: P(high - X >= high - x), high - X of rate -a
+                    above = np.exp(a * np.clip(self.high - x, 0.0, span))
+                    out = (above - np.exp(a * span)) / -np.expm1(a * span)
         else:
             gains = np.array([g for g, _ in self.cdf_points])
             probs = np.array([p for _, p in self.cdf_points])
@@ -142,9 +149,14 @@ class TypeDistribution:
         if self.kind is DistributionKind.UNIFORM:
             out = self.low + q * (self.high - self.low)
         elif self.kind is DistributionKind.TRUNCATED_EXPONENTIAL:
-            a = self.rate
-            scale = -np.expm1(-a * (self.high - self.low))
-            out = self.low - np.log1p(-q * scale) / a
+            a, span = self.rate, self.high - self.low
+            # The far end of the support is log(0) = -inf here, clipped below.
+            with np.errstate(over="ignore", divide="ignore"):
+                scale = -np.expm1(-a * span)
+                if scale > -np.inf:
+                    out = self.low - np.log1p(-q * scale) / a
+                else:  # mirrored: high - t, P(high - X >= t) = q, high - X of rate -a
+                    out = self.high - np.log(q * -np.expm1(a * span) + np.exp(a * span)) / a
         else:
             gains = np.array([g for g, _ in self.cdf_points])
             probs = np.array([p for _, p in self.cdf_points])

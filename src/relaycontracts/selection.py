@@ -16,7 +16,7 @@ import math
 import warnings
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -50,6 +50,8 @@ _CSV_CHUNK = 1 << 16  # characters of offers CSV split into lines at a time
 _CSV_HEADER = "m,n,gamma_linear,transfer"
 _CSV_PLAIN_BYTES = b"0123456789.eE+-,\n"  # the bytes of a plain offers chunk
 _LN2 = math.log(2.0)
+_FLOAT_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class SelectionMethod(str, Enum):
@@ -195,17 +197,20 @@ class SelectionProblem:
 
     def __post_init__(self) -> None:
         _check_budget(self.budget)
-        if self.budget < np.finfo(float).tiny:
+        if self.budget < _FLOAT_TINY:
             # A budget below the smallest normal float is no budget: it floors
             # to 0 money units, and spends near it are 5e-324 apart, so the
             # relaxation could only spend it rounded, up to twice over.
             object.__setattr__(self, "budget", 0.0)
         _check_resolution(self.resolution)
         # Prices become whole money units in int64; at 2**53 and above the
-        # float product is no longer exact and can overflow the cast.
-        with np.errstate(over="ignore"):
-            priced = self.offers.transfer * self.resolution
-        if priced.size and priced.max() >= _EXACT_UNITS:
+        # float product is no longer exact and can overflow the cast.  The
+        # product rises with the price, so the largest price decides, in
+        # Python floats: inf without a warning.
+        transfer = self.offers.transfer
+        if transfer.size and float(transfer.max()) * float(self.resolution) >= _EXACT_UNITS:
+            with np.errstate(over="ignore"):
+                priced = transfer * self.resolution
             m, n = np.unravel_index(int(priced.argmax()), priced.shape)
             raise ValueError(
                 f"offer ({m}, {n}) transfer {self.offers.transfer[m, n]:g} at resolution "
@@ -252,13 +257,16 @@ def _sequential_sum(values) -> float:
 
 
 def _totals(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> tuple[float, float]:
-    """Capacity and spend in one pass; every sum adds left to right, as `_sequential_sum` does."""
+    """Capacity and spend in one pass; every sum adds left to right, as `_sequential_sum` does.
+    An empty subset adds nothing: its log2(1) = 0.0 and price 0.0 leave sums >= +0.0 as they are."""
     width = offers.n
     flat = np.array([m * width + n for n, sub in enumerate(subsets) for m in sub], dtype=np.intp)
     snrs, prices = offers.snr.take(flat).tolist(), offers.transfer.take(flat).tolist()
     cap = spend = 0.0
     i = 0
     for sub in subsets:
+        if not len(sub):
+            continue
         snr = price = 0.0
         for _ in sub:
             snr += snrs[i]
@@ -286,8 +294,9 @@ def _result(
     subsets: Sequence[Sequence[int]],
     method: SelectionMethod,
 ) -> SelectionResult:
-    # The library built these subsets itself, so they skip `_check_subsets`.
-    clean = tuple(tuple(sorted(sub)) for sub in subsets)
+    # The library built these subsets itself, so they skip `_check_subsets`;
+    # an empty one is `()` without a sort.
+    clean = tuple([tuple(sorted(sub)) if sub else () for sub in subsets])
     cap, spend = _totals(offers, clean)
     return SelectionResult(subsets=clean, capacity=cap, spend=spend, method=method)
 
@@ -598,33 +607,35 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
     A cursor walks each subcarrier's offers in `efficiency_order`.  The
     remaining budget never grows, so an offer that does not fit on one visit
     never fits later: the cursor passes it for good, and the first offer at
-    the cursor that fits is the pick.
+    the cursor that fits is the pick.  A declined offer (SNR 0) is priced
+    at inf, so every cursor passes it.  A pass visits only the live
+    columns, those whose cursor has not reached the end, in index order.
+    A visit either allocates or ends its column, so the walk stops when no
+    column is live, where a full pass would allocate nothing.
     """
     offers = problem.offers
-    order = offers.efficiency_order
-    columns = [
-        [(m, t_col[m]) for m in order_col if g_col[m] > 0.0]
-        for order_col, g_col, t_col in zip(
-            order.T.tolist(), offers.snr.T.tolist(), offers.transfer.T.tolist()
-        )
-    ]
+    order, size = offers.efficiency_order, offers.m
+    at = order * offers.n + np.arange(offers.n)
+    prices = np.where(offers.snr.take(at) > 0.0, offers.transfer.take(at), math.inf).T.tolist()
+    relays = order.T.tolist()
     cursors = [0] * offers.n
     remaining = problem.budget
     subsets: list[list[int]] = [[] for _ in range(offers.n)]
-    progress = True
-    while progress:
-        progress = False
-        for n, column in enumerate(columns):
-            i = cursors[n]
-            while i < len(column) and column[i][1] > remaining:
+    live = range(offers.n) if size else ()
+    while live:
+        kept = []
+        for n in live:
+            column, i = prices[n], cursors[n]
+            while i < size and column[i] > remaining:
                 i += 1
-            if i < len(column):
-                m, t = column[i]
-                subsets[n].append(m)
-                remaining -= t
-                progress = True
+            if i < size:
+                subsets[n].append(relays[n][i])
+                remaining -= column[i]
                 i += 1
+                if i < size:
+                    kept.append(n)
             cursors[n] = i
+        live = kept
     return _result(offers, subsets, SelectionMethod.SSCPA)
 
 
@@ -656,17 +667,17 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     """
     ran = [None, None, None, sscpa(problem)]  # by rank: ESW, ASW, NSW, SSCPA
     best = ran[3].capacity
-    if max(problem._split_caps.bounds) < best:  # no split can reach SSCPA: no plan to build
-        return replace(ran[3], method=SelectionMethod.OVERALL)
-    bounds = problem._split_plan.bounds
-    solved: dict[int, list[list]] = {}  # the knapsacks the splits solve, for the later ones
-    for row in sorted(range(3), key=bounds.__getitem__, reverse=True):  # stable on ties
-        if bounds[row] < best:
-            break
-        ran[row] = weighted_split_selection(problem, _SPLIT_KINDS[row], floor=best, _solved=solved)
-        best = max(best, ran[row].capacity)
-    first_best = max([result for result in ran if result is not None], key=lambda r: r.capacity)
-    return replace(first_best, method=SelectionMethod.OVERALL)
+    winner = ran[3]
+    if max(problem._split_caps.bounds) >= best:  # else no split can reach SSCPA: no plan to build
+        bounds = problem._split_plan.bounds
+        solved: dict[int, list[list]] = {}  # the knapsacks the splits solve, for the later ones
+        for row in sorted(range(3), key=bounds.__getitem__, reverse=True):  # stable on ties
+            if bounds[row] < best:
+                break
+            ran[row] = weighted_split_selection(problem, _SPLIT_KINDS[row], floor=best, _solved=solved)
+            best = max(best, ran[row].capacity)
+        winner = max([result for result in ran if result is not None], key=lambda r: r.capacity)
+    return SelectionResult(winner.subsets, winner.capacity, winner.spend, SelectionMethod.OVERALL)
 
 
 def best_snr_baseline(problem: SelectionProblem) -> SelectionResult:
@@ -714,16 +725,22 @@ def _breakpoint_sweep(offers: OfferMatrix, budget: float, base_snr: np.ndarray):
     1 + b_n + S_n = e_j*mu/ln2.  Offer j is fractional from mu = floor_j*ln2/e_j
     (floor_j: 1 + b_n + the SNR of the offers ahead of it) to that plus
     t_j*ln2, its spend rising with slope 1/ln2: spend is piecewise linear in mu.
+    The offers are read in efficiency order through one flat index, the
+    SNRs whole for the running sums and the rest only at the paid offers,
+    rank by rank.
     """
-    order = offers.efficiency_order, np.arange(offers.n)
-    eff, snr, price = offers.efficiency[order], offers.snr[order], offers.transfer[order]
+    n = offers.n
+    at = offers.efficiency_order * n + np.arange(n)  # flat index of each rank's offer
+    snr, price = offers.snr.take(at), offers.transfer.take(at)
     ahead = np.zeros_like(snr)
     np.cumsum(snr[:-1], axis=0, out=ahead[1:])
-    rows, cols = np.nonzero(price > 0.0)
+    paid = np.flatnonzero(price > 0.0)
+    cols = paid % n
     with np.errstate(divide="ignore", over="ignore"):
         # An offer too inefficient for a finite mu starts at the largest float.
-        starts = np.minimum((ahead + (1.0 + base_snr)) * _LN2 / eff, np.finfo(float).max)
-        start, gain, price = starts[rows, cols], snr[rows, cols], price[rows, cols]
+        eff = offers.efficiency.take(at.take(paid))
+        start = np.minimum((ahead.take(paid) + (1.0 + base_snr).take(cols)) * _LN2 / eff, _FLOAT_MAX)
+        gain, price = snr.take(paid), price.take(paid)
         width = price * _LN2
         end, count = start + width, start.size
         # Spend times ln2 at each breakpoint.  At one mu, starts sort first,
@@ -735,7 +752,7 @@ def _breakpoint_sweep(offers: OfferMatrix, budget: float, base_snr: np.ndarray):
         mus = events[ranked]
         active = np.cumsum(np.where(ranked < count, 1, -1))
         steps = np.concatenate([np.zeros(count), width - (end - start)])[ranked]
-        steps[1:] += active[:-1] * np.diff(mus)
+        steps[1:] += active[:-1] * (mus[1:] - mus[:-1])
         spend = np.cumsum(steps)
         k = min(int(np.searchsorted(spend, budget * _LN2, side="right")) - 1, 2 * count - 2)
         step = (budget * _LN2 - spend[k]) / active[k]
@@ -743,9 +760,9 @@ def _breakpoint_sweep(offers: OfferMatrix, budget: float, base_snr: np.ndarray):
         # are not, and the rest are measured from their own start.
         passed = np.zeros(2 * count, dtype=bool)
         passed[ranked[: k + 1]] = True
-        share = np.clip((mus[k] - start + step) / width, 0.0, 1.0)
+        share = np.minimum(np.maximum((mus[k] - start + step) / width, 0.0), 1.0)
         bought = np.where(passed[count:], 1.0, np.where(passed[:count], share, 0.0))
-    return base_snr + np.bincount(cols, bought * gain, offers.n), mus[k] + step, bought @ price
+    return base_snr + np.bincount(cols, bought * gain, n), mus[k] + step, bought @ price
 
 
 def exhaustive_optimum(problem: SelectionProblem) -> SelectionResult:
@@ -962,11 +979,15 @@ def offers_from_csv(text: str) -> OfferMatrix:
 def selection_to_csv(results: Sequence[SelectionResult], bounds: dict | None = None) -> str:
     """Rows (method, n, selected_m_list, capacity, spend); capacity and spend
     are those of the method's whole selection.  `bounds` adds subset-free
-    rows, e.g. the relaxed upper bound."""
+    rows, e.g. the relaxed upper bound.  Each relay index is made text once
+    per call, and an empty subset is an empty field without a join."""
     lines = ["method,n,selected_m_list,capacity,spend"]
+    top = max([max(map(max, filter(None, res.subsets)), default=-1) for res in results], default=-1)
+    text = list(map(str, range(top + 1))).__getitem__
     for res in results:
         head, tail = f"{res.method.value},", f",{res.capacity:.12g},{res.spend:.12g}"
-        lines += [f"{head}{n},{';'.join(map(str, sub))}{tail}" for n, sub in enumerate(res.subsets)]
+        picks = [";".join(map(text, sub)) if sub else "" for sub in res.subsets]
+        lines += [f"{head}{n},{pick}{tail}" for n, pick in enumerate(picks)]
     for name, value in (bounds or {}).items():
         lines.append(f"{name},,,{value:.12g},")
     return "\n".join(lines) + "\n"

@@ -186,6 +186,41 @@ def test_a_cdf_whose_rate_times_the_span_overflows_is_right_without_a_warning():
     assert grid.probs.tolist() == [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
 
 
+@pytest.mark.parametrize("rate", [-2.9, -50.0, -1e10, -1e300, -1e308])
+def test_a_negative_rate_whose_normaliser_overflows_is_mirrored_without_a_warning(rate):
+    # |rate| * 250 passes ~709.78, so 1 - exp(-rate * 250) is -inf: the
+    # distribution is read as 350 - Y, Y of rate -rate, and its mass sits at the top.
+    dist = TypeDistribution.truncated_exponential(50, 300, rate)
+    quantiles = np.array([0.0, 1e-300, 1e-9, 0.25, 0.5, 0.999, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = TypeGrid.from_distribution(dist, 10, 2)
+        draws = dist.ppf(quantiles)
+        sampled = sample_type_vector(dist, 500, np.random.default_rng(9))
+        tail = dist.cdf(np.array([50.0, 250.0, 299.0, 299.99, 300.0]))
+    assert np.all(np.isfinite(grid.probs) & (grid.probs >= 0.0))
+    assert np.all(np.abs(grid.probs.sum(axis=0) - 1.0) <= 1e-12)
+    assert grid.probs[-1].tolist() == [1.0, 1.0]  # below the top type, [275, 300], lies exp(25 * rate) < 1e-31
+    for values in (draws, sampled):
+        assert not np.isnan(values).any() and np.all((values >= 50.0) & (values <= 300.0))
+    assert draws[0] == 50.0 and draws[-1] == 300.0 and np.all(np.diff(draws) >= 0.0)
+    # Away from the ends the cdf is exp(rate * (300 - x)) up to a relative exp(-709).
+    expected = [0.0, *(math.exp(rate * (300.0 - x)) for x in (250.0, 299.0, 299.99)), 1.0]
+    assert np.allclose(tail, expected, rtol=1e-12, atol=0.0)
+    if rate >= -50.0:  # steeper cdfs are inverted only to the float spacing of x near 300
+        assert np.allclose(dist.cdf(draws), quantiles, rtol=0.0, atol=1e-9)
+
+
+def test_a_negative_rate_within_range_keeps_the_direct_form_bit_for_bit():
+    # -2.8 * 250 = 700 keeps 1 - exp(700) finite: the cdf and ppf are today's
+    # expressions, including where the cdf is a tiny share of a huge normaliser.
+    dist = TypeDistribution.truncated_exponential(50, 300, -2.8)
+    x, q = np.linspace(50.0, 300.0, 41), np.linspace(0.0, 1.0, 41)[1:-1]
+    scale = -np.expm1(2.8 * 250.0)
+    assert dist.cdf(x).tobytes() == np.clip(-np.expm1(2.8 * (x - 50.0)) / scale, 0.0, 1.0).tobytes()
+    assert dist.ppf(q).tobytes() == np.clip(50.0 - np.log1p(-q * scale) / -2.8, 50.0, 300.0).tobytes()
+
+
 def test_empirical_cdf_validation():
     with pytest.raises(ValueError):
         TypeDistribution.empirical([(0.0, 0.0), (1.0, 0.9)])  # cdf not reaching 1

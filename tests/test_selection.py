@@ -973,14 +973,49 @@ def assert_within_bisection(problem):
     assert bisection - 1e-6 <= sweep <= bisection + 1e-12 * max(1.0, bisection)
 
 
+def reference_breakpoint_sweep(offers, budget, base_snr):
+    """Frozen copy of the breakpoint sweep as it gathered the whole matrix
+    in efficiency order, then the paid offers by (rank, subcarrier)."""
+    ln2 = math.log(2.0)
+    order = offers.efficiency_order, np.arange(offers.n)
+    eff, snr, price = offers.efficiency[order], offers.snr[order], offers.transfer[order]
+    ahead = np.zeros_like(snr)
+    np.cumsum(snr[:-1], axis=0, out=ahead[1:])
+    rows, cols = np.nonzero(price > 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        starts = np.minimum((ahead + (1.0 + base_snr)) * ln2 / eff, np.finfo(float).max)
+        start, gain, price = starts[rows, cols], snr[rows, cols], price[rows, cols]
+        width = price * ln2
+        end, count = start + width, start.size
+        events = np.concatenate([start, end])
+        ranked = np.lexsort((np.concatenate([np.zeros(count), width]), events))
+        mus = events[ranked]
+        active = np.cumsum(np.where(ranked < count, 1, -1))
+        steps = np.concatenate([np.zeros(count), width - (end - start)])[ranked]
+        steps[1:] += active[:-1] * np.diff(mus)
+        spend = np.cumsum(steps)
+        k = min(int(np.searchsorted(spend, budget * ln2, side="right")) - 1, 2 * count - 2)
+        step = (budget * ln2 - spend[k]) / active[k]
+        passed = np.zeros(2 * count, dtype=bool)
+        passed[ranked[: k + 1]] = True
+        share = np.clip((mus[k] - start + step) / width, 0.0, 1.0)
+        bought = np.where(passed[count:], 1.0, np.where(passed[:count], share, 0.0))
+    return base_snr + np.bincount(cols, bought * gain, offers.n), mus[k] + step, bought @ price
+
+
 def sweep_solution(problem):
     """(bound, mu*, spend) from the breakpoint sweep, or None when an early
-    exit of `relaxed_upper_bound` fires: no buyable offer, or all affordable."""
+    exit of `relaxed_upper_bound` fires: no buyable offer, or all affordable.
+    The sweep's SNRs, mu* and spend equal the frozen copy's bit for bit."""
     offers = problem.offers
     if not (offers.transfer > 0.0).any() or offers.transfer.sum() <= problem.budget:
         return None
     free = np.where((offers.transfer == 0.0) & (offers.snr > 0.0), offers.snr, 0.0)
     snr, mu, spend = selection_module._breakpoint_sweep(offers, problem.budget, free.sum(axis=0))
+    want = reference_breakpoint_sweep(offers, problem.budget, free.sum(axis=0))
+    assert (snr.tobytes(), float(mu).hex(), float(spend).hex()) == (
+        want[0].tobytes(), float(want[1]).hex(), float(want[2]).hex()
+    )
     return float(np.log2(1.0 + snr).sum()), mu, spend
 
 
@@ -1057,6 +1092,22 @@ def tie_and_pass_problem(rng):
     return SelectionProblem(OfferMatrix(snr, transfer), budget, int(rng.choice([1, 10])))
 
 
+def sparse_round_problem(rng):
+    """A round on 32 or 64 subcarriers whose budget buys at most two offers
+    (prices >= 0.3, budget < 0.9), or is 0; 0-4 relays, with declined and
+    free offers.  Where there are three relays or more, relay 1 declines
+    on subcarrier 0 between relays 0 and 2, both free: at the end of that
+    column's efficiency order, a declined offer after a free one."""
+    m, n = int(rng.integers(0, 5)), int(rng.choice([32, 64]))
+    snr = rng.uniform(0.5, 200.0, (m, n)) * (rng.random((m, n)) > 0.3)
+    transfer = rng.uniform(0.3, 1.3, (m, n)) * (snr > 0.0)
+    transfer[rng.random((m, n)) < 0.1] = 0.0
+    if m >= 3:
+        snr[:3, 0], transfer[:3, 0] = (5.0, 0.0, 2.0), 0.0
+    budget = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 0.9))
+    return SelectionProblem(OfferMatrix(snr, transfer), budget, int(rng.choice([1, 1000])))
+
+
 def test_sscpa_and_greedy_match_reference_on_ties_and_free_offers():
     rng = np.random.default_rng(6060)
     first_pass_only = 0
@@ -1074,6 +1125,21 @@ def test_sscpa_and_greedy_match_reference_on_ties_and_free_offers():
             for n in range(offers.n)
         )
     assert first_pass_only > 100
+    # Sparse rounds: almost every subset ends empty.
+    shapes = {"no relays": 0, "zero budget, free offers": 0, "declined after free": 0, "two bought": 0}
+    for _ in range(400):
+        problem = sparse_round_problem(rng)
+        offers = problem.offers
+        result = sscpa(problem)
+        assert_same_totals(result, offers, reference_sscpa(problem))
+        assert_same_totals(best_snr_baseline(problem), offers, reference_best_snr(problem))
+        paid = [(m, n) for n, sub in enumerate(result.subsets) for m in sub if offers.transfer[m, n] > 0.0]
+        assert len(paid) <= 2
+        shapes["no relays"] += offers.m == 0
+        shapes["zero budget, free offers"] += problem.budget == 0.0 and result.capacity > 0.0
+        shapes["declined after free"] += offers.m >= 3 and result.subsets[0][:2] == (0, 2)
+        shapes["two bought"] += len(paid) == 2
+    assert min(shapes.values()) >= 10, shapes
 
 
 def test_sscpa_hand_trace_of_an_offer_that_fits_only_on_the_first_pass():
@@ -1577,6 +1643,14 @@ def test_selection_problem_rejects_prices_of_2_to_the_53_units():
         SelectionProblem(limit, 2.0, 2)
     with pytest.raises(ValueError, match="resolution must be"):
         SelectionProblem(offers_1d([1.0], [0.5]), 2.0, 2**53)
+    # A price whose units overflow to inf is refused by name, without a warning,
+    # and the first of two equal largest prices is named; so with a NumPy resolution.
+    huge = OfferMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.5, 1e306], [1e306, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for resolution in (1000, np.int64(1000)):
+            with pytest.raises(ValueError, match=r"offer \(0, 1\) transfer 1e\+306 at resolution 1000 "):
+                SelectionProblem(huge, 2.0, resolution)
 
 
 
