@@ -34,7 +34,9 @@ compares every output file byte for byte:
   SSCPA above every split's cheap bound, so no split plan is built, and
   equal to them; valid offers that only the full offer checks pass; 64
   subcarriers on a budget that buys two offers, so almost every subset
-  is empty; and a column whose declined offers lie between free ones;
+  is empty; a column whose declined offers lie between free ones; budgets
+  that land on, or just below, the cheapest price; and a cheapest price
+  whose money units less the rounding snap equal every cap;
 - `contracts` and `table3` at their defaults.
 
 Prints each output's sha256 on both sides and exits 1 if any output
@@ -142,6 +144,14 @@ EDGE_OFFERS = {
         ["0,0,5,0", "1,0,0,0", "2,0,3,0", "3,0,0,0", "4,0,2,0", "0,1,10,1", "2,1,4,0.5", "3,1,0,0"],
         ("0", "1"),
     ),
+    # The cheapest price is 0.25: budget 0.75 leaves exactly 0.25 after the
+    # 0.5 offer, which SSCPA and the greedy then buy; 0.25 buys it alone,
+    # and one float below it buys nothing.
+    "lands_on_cheapest": (["0,0,4,0.5", "0,1,3,0.25"], ("0.75", "0.25", "0.24999999999999997")),
+    # At budget 0.005 every cap is 5 money units, and 0.005000000001 * 1000
+    # less the 1e-9 snap is exactly 5: the offer is usable, so the caps stage
+    # keeps its usable half; the next offer is one unit dearer.
+    "price_at_cap": (["0,0,3,0.005000000001", "1,0,2,0.005000000002"], ("0.005",)),
 }
 
 

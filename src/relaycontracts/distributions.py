@@ -146,6 +146,11 @@ class TypeDistribution:
         q = np.asarray(u, dtype=float)
         if np.any(q < 0.0) or np.any(q > 1.0):
             raise ValueError("quantile argument must lie in [0, 1]")
+        out = self._quantile(q)
+        return float(out) if np.isscalar(u) else out
+
+    def _quantile(self, q: np.ndarray) -> np.ndarray:
+        """Inverse CDF of a float array already in [0, 1], clipped to the support."""
         if self.kind is DistributionKind.UNIFORM:
             out = self.low + q * (self.high - self.low)
         elif self.kind is DistributionKind.TRUNCATED_EXPONENTIAL:
@@ -161,11 +166,12 @@ class TypeDistribution:
             gains = np.array([g for g, _ in self.cdf_points])
             probs = np.array([p for _, p in self.cdf_points])
             out = np.interp(q, probs, gains)
-        out = np.clip(out, self.low, self.high)
-        return float(out) if np.isscalar(u) else out
+        return np.clip(out, self.low, self.high)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return self.ppf(rng.random(size))
+        """`size` draws by inverse transform; `rng.random` lies in [0, 1), so
+        the draws skip `ppf`'s range check."""
+        return self._quantile(rng.random(size))
 
 
 def quantize_types(dist: TypeDistribution, k: int) -> np.ndarray:

@@ -106,6 +106,7 @@ class OfferMatrix:
     unit transfer may overflow.  A fused check settles all of these from
     the extremes of both arrays (`_fast_efficiency`); where it cannot, or
     the matrix is empty, the full checks run and name the first failure.
+    `cheapest` is taken after the checks.
     """
 
     snr: np.ndarray
@@ -114,6 +115,9 @@ class OfferMatrix:
     efficiency: np.ndarray = field(init=False, repr=False, compare=False)
     # Each subcarrier's relays by descending efficiency, ties to the lowest index
     efficiency_order: np.ndarray = field(init=False, repr=False, compare=False)
+    # The lowest price of an offer with positive SNR, inf where there is none:
+    # a budget below it buys nothing more
+    cheapest: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         snr = np.ascontiguousarray(self.snr, dtype=float)
@@ -129,6 +133,7 @@ class OfferMatrix:
         ):
             values.setflags(write=False)
             object.__setattr__(self, name, values)
+        object.__setattr__(self, "cheapest", float(transfer.min(where=snr > 0.0, initial=math.inf)))
 
     @property
     def m(self) -> int:
@@ -407,23 +412,40 @@ def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
 
 
 @dataclass
+class _UsableOffers:
+    """The offers each split's caps let `knapsack_01` use: an offer is usable
+    under a cap where its SNR is positive and its units fit the cap."""
+
+    units: np.ndarray  # (M, N) each offer's price in money units, rounded up as charged
+    ordered: np.ndarray  # (3, M, N) the usable offers in efficiency order
+    snr: np.ndarray  # (M, N) the offers' SNRs in efficiency order
+
+
+def _usable_offers(problem: SelectionProblem, caps: np.ndarray) -> _UsableOffers:
+    offers = problem.offers
+    units = _price_units(offers.transfer, problem.resolution)
+    order = offers.efficiency_order, np.arange(offers.n)
+    snr = offers.snr[order]
+    return _UsableOffers(units, (snr > 0.0) & (units[order] <= caps[:, None, :]), snr)
+
+
+@dataclass
 class _SplitCaps:
-    """One row per split, ESW, ASW, NSW: its shares, caps and usable offers,
-    and a cheap bound on its capacity that needs no fractional fill.  The
-    usable offers in relay order, which only a running split reads, come
-    with the plan."""
+    """One row per split, ESW, ASW, NSW: its shares, caps and a cheap bound
+    on its capacity that needs no fractional fill, and the usable offers
+    that bound was found from.  The usable offers in relay order, which
+    only a running split reads, come with the plan."""
 
     weight_sums: np.ndarray  # (3,) each split's budget weights summed, inf where they overflow
     sub_budgets: np.ndarray  # (3, N) budget shares
     caps: np.ndarray  # (3, N) the shares in `knapsack_01`'s money units, NaN where weights sum to 0
-    units: np.ndarray  # (M, N) each offer's price in money units, rounded up as charged
-    ordered: np.ndarray  # (3, M, N) the offers each cap lets `knapsack_01` use, in efficiency order
-    snr: np.ndarray  # (M, N) the offers' SNRs in efficiency order
     bounds: list[float]  # each split's cheap bound, -inf where its weights overflow
+    usable: _UsableOffers | None  # None where the cheapest offer fits no cap
 
 
 def _cap_splits(problem: SelectionProblem) -> _SplitCaps:
-    """Each split's budget shares, their caps, its usable offers and a cheap bound.
+    """Each split's budget shares, their caps and a cheap bound; the usable
+    offers only where an offer may fit a cap.
 
     An offer is usable under a cap where its SNR is positive and its units,
     ceil(t*resolution - _UNIT_SNAP), fit the cap.  Caps are whole numbers,
@@ -433,23 +455,29 @@ def _cap_splits(problem: SelectionProblem) -> _SplitCaps:
     `_with_margin`, or -inf where the weights overflow.  The plan's fill
     buys a share in [0, 1] of the same offers, summed in the same order and
     shape, so the cheap bound is never below the plan bound.
+
+    That test rises with the price, so where `OfferMatrix.cheapest` fails
+    it against the largest non-NaN cap, no offer is usable under any cap:
+    each cheap bound is `_with_margin(0.0)`, or -inf, as the full stage
+    gives, and the usable offers are left to `_plan_splits`.
     """
     offers, resolution = problem.offers, problem.resolution
-    units = _price_units(offers.transfer, resolution)
-    order = offers.efficiency_order, np.arange(offers.n)
-    snr = offers.snr[order]
     with np.errstate(over="ignore", invalid="ignore"):  # weight sums of inf or 0, inf shares
         weights = np.array([weight_profile(offers, kind) for kind in _SPLIT_KINDS])
         weight_sums = weights.sum(axis=1)
         sub_budgets = weights * problem.budget / weight_sums[:, None]
         caps = _money_units(sub_budgets, resolution)
-        ordered = (snr > 0.0) & (units[order] <= caps[:, None, :])
-        reach = np.log2(1.0 + np.where(ordered, snr, 0.0).sum(axis=1)).sum(axis=1)
+        top = float(np.fmax.reduce(caps, axis=None, initial=-math.inf))  # NaN caps fit nothing
+        if offers.cheapest * float(resolution) - _UNIT_SNAP > top:
+            usable, reach = None, [0.0] * 3
+        else:
+            usable = _usable_offers(problem, caps)
+            reach = np.log2(1.0 + np.where(usable.ordered, usable.snr, 0.0).sum(axis=1)).sum(axis=1).tolist()
     bounds = [
         _with_margin(total) if weight_sum < math.inf else -math.inf
-        for total, weight_sum in zip(reach.tolist(), weight_sums.tolist())
+        for total, weight_sum in zip(reach, weight_sums.tolist())
     ]
-    return _SplitCaps(weight_sums, sub_budgets, caps, units, ordered, snr, bounds)
+    return _SplitCaps(weight_sums, sub_budgets, caps, bounds, usable)
 
 
 @dataclass
@@ -459,6 +487,7 @@ class _SplitPlan:
 
     sub_budgets: np.ndarray  # (3, N) budget shares, as in `_SplitCaps`
     caps: np.ndarray  # (3, N) their money units, as in `_SplitCaps`
+    units: np.ndarray  # (M, N) each offer's price in money units, as in `_UsableOffers`
     usable: np.ndarray  # (3, M, N) the offers each cap lets `knapsack_01` use, in relay order
     terms: np.ndarray  # (3, N) log2(1 + each subcarrier's fractional knapsack optimum)
     bounds: list[float]  # each split's capacity bound, -inf where its weights overflow
@@ -488,10 +517,13 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
     there.  An infinite cap buys every offer.  A split's bound is its terms'
     sum with `_with_margin`, or -inf where its weights overflow, so the
     split refuses to run.  A term's estimate counts only the offers the
-    fill buys whole.
+    fill buys whole.  The plan finds the usable offers where the stage
+    left them out.
     """
     offers, stage = problem.offers, problem._split_caps
-    caps, usable = stage.caps, stage.ordered
+    caps = stage.caps
+    found = stage.usable or _usable_offers(problem, caps)
+    usable = found.ordered
     with np.errstate(over="ignore", invalid="ignore"):  # inf caps, shares of prices near 0
         priced = offers.transfer[offers.efficiency_order, np.arange(offers.n)] * problem.resolution
         weight = np.where(usable, priced, 0.0)
@@ -501,10 +533,12 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
         bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
         np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
     np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
-    terms = np.log2(1.0 + (bought * stage.snr).sum(axis=1))
+    terms = np.log2(1.0 + (bought * found.snr).sum(axis=1))
     bounds = np.where(stage.weight_sums < math.inf, _with_margin(terms.sum(axis=1)), -math.inf)
-    relay_usable = (offers.snr > 0.0) & (stage.units <= caps[:, None, :])
-    return _SplitPlan(stage.sub_budgets, caps, relay_usable, terms, bounds.tolist(), bought, stage.snr)
+    relay_usable = (offers.snr > 0.0) & (found.units <= caps[:, None, :])
+    return _SplitPlan(
+        stage.sub_budgets, caps, found.units, relay_usable, terms, bounds.tolist(), bought, found.snr
+    )
 
 
 def _reused(solved: list[list], cap: float, units: np.ndarray, n: int) -> list[int] | None:
@@ -567,7 +601,7 @@ def weighted_split_selection(
     if plan.bounds[row] == -math.inf:
         raise ValueError(f"{kind.value} budget weights overflow: their sum is inf")
     resolution, sub_budgets, caps = problem.resolution, plan.sub_budgets[row], plan.caps[row]
-    units, usable = problem._split_caps.units, plan.usable[row]
+    units, usable = plan.units, plan.usable[row]
     # Float sums of whole units are exact below 2**53 and stay at or above it, where int64
     # sums of many prices near 2**53 units would wrap.  A NaN cap fits: nothing under it is usable.
     fits = ~(np.where(usable, units, 0.0).sum(axis=0) > caps)
@@ -611,7 +645,9 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
     at inf, so every cursor passes it.  A pass visits only the live
     columns, those whose cursor has not reached the end, in index order.
     A visit either allocates or ends its column, so the walk stops when no
-    column is live, where a full pass would allocate nothing.
+    column is live, where a full pass would allocate nothing.  It also
+    stops once an allocation leaves less than `OfferMatrix.cheapest`: from
+    there every visit would end its column.
     """
     offers = problem.offers
     order, size = offers.efficiency_order, offers.m
@@ -619,7 +655,7 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
     prices = np.where(offers.snr.take(at) > 0.0, offers.transfer.take(at), math.inf).T.tolist()
     relays = order.T.tolist()
     cursors = [0] * offers.n
-    remaining = problem.budget
+    remaining, cheapest = problem.budget, offers.cheapest
     subsets: list[list[int]] = [[] for _ in range(offers.n)]
     live = range(offers.n) if size else ()
     while live:
@@ -631,6 +667,9 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
             if i < size:
                 subsets[n].append(relays[n][i])
                 remaining -= column[i]
+                if remaining < cheapest:
+                    kept = []
+                    break
                 i += 1
                 if i < size:
                     kept.append(n)
@@ -644,11 +683,12 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
 
     SSCPA runs first.  Where every split's cheap bound (`_cap_splits`) is
     below its capacity, no split can reach it: SSCPA is the result, and the
-    split plan is never built.  Otherwise the splits run by descending
-    `_plan_splits` bound, never above the cheap one, equal bounds in ESW,
-    ASW, NSW order, so the likeliest winner raises the best capacity so
-    far early.  A split whose bound is below that best cannot win and
-    does not run.  One that runs gets the best as its
+    split plan is never built.  Where the cheapest offer fits no cap, the
+    cheap bounds are those of empty splits, found from the caps alone.
+    Otherwise the splits run by descending `_plan_splits` bound, never
+    above the cheap one, equal bounds in ESW, ASW, NSW order, so the
+    likeliest winner raises the best capacity so far early.  A split whose
+    bound is below that best cannot win and does not run.  One that runs gets the best as its
     `floor` and stops once its running bound falls below it, with a
     capacity below the final best.  The result is the first maximum, in
     ESW, ASW, NSW, SSCPA order, among the candidates that ran.  Only a
@@ -686,17 +726,21 @@ def best_snr_baseline(problem: SelectionProblem) -> SelectionResult:
     The selection is feasible, so its capacity never exceeds
     `exhaustive_optimum`. Neither this greedy nor `overall_heuristic`
     dominates the other on every instance; on average the heuristic wins.
+    The walk stops once a purchase leaves less than `OfferMatrix.cheapest`,
+    where no later offer fits.
     """
     offers = problem.offers
     ms, ns = np.nonzero(offers.snr > 0.0)
     order = np.lexsort((ms, ns, -offers.snr[ms, ns]))
     ms, ns = ms[order], ns[order]
-    remaining = problem.budget
+    remaining, cheapest = problem.budget, offers.cheapest
     subsets: list[list[int]] = [[] for _ in range(offers.n)]
     for m, n, t in zip(ms.tolist(), ns.tolist(), offers.transfer[ms, ns].tolist()):
         if t <= remaining:
             subsets[n].append(m)
             remaining -= t
+            if remaining < cheapest:
+                break
     return _result(offers, subsets, SelectionMethod.BEST_SNR)
 
 

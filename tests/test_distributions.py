@@ -155,6 +155,25 @@ def test_samples_stay_in_support():
         assert np.all(draws <= dist.high)
 
 
+@pytest.mark.parametrize("dist", [
+    TypeDistribution.uniform(50, 300),
+    TypeDistribution.truncated_exponential(2.0, 9.0, 0.7),
+    TypeDistribution.truncated_exponential(50, 300, -50.0),  # the mirrored form
+    TypeDistribution.empirical([(1.0, 0.0), (2.0, 0.6), (4.0, 1.0)]),
+], ids=["uniform", "exponential", "mirrored-exponential", "empirical"])
+def test_sample_is_ppf_of_the_same_uniform_draws_bit_for_bit(dist):
+    # `sample` skips `ppf`'s range check, as rng.random lies in [0, 1).
+    draws = dist.sample(1000, np.random.default_rng(17))
+    assert draws.tobytes() == dist.ppf(np.random.default_rng(17).random(1000)).tobytes()
+    assert sample_type_vector(dist, 96, np.random.default_rng(2)).tobytes() == dist.ppf(
+        np.random.default_rng(2).random(96)
+    ).tobytes()
+    assert type(dist.ppf(0.5)) is float and dist.ppf(0.0) == dist.low
+    for outside in (-1e-300, math.nextafter(1.0, 2.0), [0.5, -1.0]):
+        with pytest.raises(ValueError, match=r"quantile argument must lie in \[0, 1\]"):
+            dist.ppf(outside)
+
+
 @pytest.mark.parametrize("count", [2**53, 2**62, np.int64(2**61)])
 def test_counts_past_the_array_cap_are_refused_before_allocating(count):
     # 8 bytes a value: numpy would be asked for 64 PiB or more, and 8 times

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import relaycontracts.selection as selection_module
 from relaycontracts import (
+    ExperimentConfig,
     OfferMatrix,
     SelectionMethod,
     SelectionProblem,
@@ -22,6 +23,7 @@ from relaycontracts import (
     TypeGrid,
     accepted_offers,
     best_snr_baseline,
+    broadcast_menu,
     capacity,
     exhaustive_optimum,
     knapsack_01,
@@ -29,6 +31,7 @@ from relaycontracts import (
     offers_to_csv,
     overall_heuristic,
     relaxed_upper_bound,
+    sample_type_vector,
     second_best_menu,
     selection_to_csv,
     sscpa,
@@ -1853,6 +1856,282 @@ def test_overall_builds_no_split_plan_where_sscpa_beats_every_cheap_bound(monkey
     result = overall_heuristic(equal)
     assert equal._split_caps.bounds == [sscpa(equal).capacity] * 3 == [result.capacity] * 3
     assert plans == [problem, equal]
+
+
+# -- the cheapest offer: SSCPA, the greedy and the caps stage stop there ------
+
+
+def reference_sscpa_walk(problem):
+    """Frozen copy of the cursor walk before it stopped at the cheapest
+    offer: it passes over the live columns until none is left."""
+    offers = problem.offers
+    order, size = offers.efficiency_order, offers.m
+    at = order * offers.n + np.arange(offers.n)
+    prices = np.where(offers.snr.take(at) > 0.0, offers.transfer.take(at), math.inf).T.tolist()
+    relays = order.T.tolist()
+    cursors = [0] * offers.n
+    remaining = problem.budget
+    subsets = [[] for _ in range(offers.n)]
+    live = range(offers.n) if size else ()
+    while live:
+        kept = []
+        for n in live:
+            column, i = prices[n], cursors[n]
+            while i < size and column[i] > remaining:
+                i += 1
+            if i < size:
+                subsets[n].append(relays[n][i])
+                remaining -= column[i]
+                i += 1
+                if i < size:
+                    kept.append(n)
+            cursors[n] = i
+        live = kept
+    return [tuple(sorted(sub)) for sub in subsets]
+
+
+def reference_best_snr_baseline(problem):
+    """Frozen copy of the best-SNR greedy before it stopped at the cheapest
+    offer: it visits every offer with positive SNR."""
+    offers = problem.offers
+    ms, ns = np.nonzero(offers.snr > 0.0)
+    order = np.lexsort((ms, ns, -offers.snr[ms, ns]))
+    ms, ns = ms[order], ns[order]
+    remaining = problem.budget
+    subsets = [[] for _ in range(offers.n)]
+    for m, n, t in zip(ms.tolist(), ns.tolist(), offers.transfer[ms, ns].tolist()):
+        if t <= remaining:
+            subsets[n].append(m)
+            remaining -= t
+    return [tuple(sorted(sub)) for sub in subsets]
+
+
+def independent_cheapest(offers):
+    positive = offers.transfer[offers.snr > 0.0]
+    return float(positive.min()) if positive.size else math.inf
+
+
+_WALK_SNR = st.one_of(st.integers(0, 4).map(float), st.floats(0.5, 200.0), st.sampled_from([0.0, 1e-17]))
+_WALK_PRICE = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]), st.floats(1e-3, 3.0))
+
+
+@st.composite
+def walk_problems(draw):
+    """Declined, free and 1e-17 offers with exact SNR and efficiency ties
+    (small integers, dyadic prices), and budgets of 0, of the cheapest
+    price, and of the cheapest price plus up to four offers' prices, which
+    a walk can spend down to exactly the cheapest price."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    snr = np.array(draw(st.lists(_WALK_SNR, min_size=m * n, max_size=m * n)), dtype=float).reshape(m, n)
+    transfer = np.array(draw(st.lists(_WALK_PRICE, min_size=m * n, max_size=m * n)), dtype=float)
+    transfer = transfer.reshape(m, n)
+    transfer[snr == 0.0] = 0.0
+    prices = transfer[snr > 0.0].tolist() or [0.0]
+    cheapest = min(prices)
+    budget = draw(st.one_of(
+        st.just(0.0),
+        st.just(cheapest),
+        st.lists(st.sampled_from(prices), max_size=4).map(
+            lambda extra: reference_sequential_sum([cheapest, *extra])
+        ),
+        st.floats(0.0, 12.0),
+    ))
+    return SelectionProblem(OfferMatrix(snr, transfer), budget)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(walk_problems())
+def test_property_walks_that_stop_at_the_cheapest_offer_match_their_frozen_copies(problem):
+    offers = problem.offers
+    assert offers.cheapest == independent_cheapest(offers)
+    assert_same_totals(sscpa(problem), offers, reference_sscpa_walk(problem))
+    assert_same_totals(sscpa(problem), offers, reference_sscpa(problem))
+    assert_same_totals(best_snr_baseline(problem), offers, reference_best_snr_baseline(problem))
+
+
+def test_walks_keep_going_while_the_money_left_equals_the_cheapest_price():
+    # The cheapest price is 0.25.  At budget 0.75, SSCPA and the greedy buy
+    # 0.5 on subcarrier 0, which leaves exactly 0.25, then buy that too.
+    offers = OfferMatrix(np.array([[4.0, 3.0, 0.0]]), np.array([[0.5, 0.25, 0.0]]))
+    assert offers.cheapest == 0.25
+    for budget, bought in ((0.75, ((0,), (0,), ())), (0.25, ((), (0,), ())), (0.5, ((0,), (), ()))):
+        problem = SelectionProblem(offers, budget)
+        assert sscpa(problem).subsets == best_snr_baseline(problem).subsets == bought
+    below = SelectionProblem(offers, math.nextafter(0.25, 0.0))
+    assert sscpa(below).subsets == best_snr_baseline(below).subsets == ((), (), ())
+    # A free offer makes the cheapest price 0: a budget of 0 still takes it.
+    free = SelectionProblem(OfferMatrix(np.array([[4.0, 3.0]]), np.array([[0.5, 0.0]])), 0.0)
+    assert free.offers.cheapest == 0.0
+    assert sscpa(free).subsets == best_snr_baseline(free).subsets == ((), (0,))
+
+
+def reference_cap_splits(problem):
+    """Frozen copy of the full caps stage: shares, caps, the usable half and
+    the cheap bounds, all built on every problem.  Weights come from the
+    module's `weight_profile`, so a test can replace it."""
+    offers, resolution = problem.offers, problem.resolution
+    units = np.ceil(offers.transfer * resolution - _UNIT_SNAP)
+    order = offers.efficiency_order, np.arange(offers.n)
+    snr = offers.snr[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinds = (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW)
+        weights = np.array([selection_module.weight_profile(offers, kind) for kind in kinds])
+        weight_sums = weights.sum(axis=1)
+        sub_budgets = weights * problem.budget / weight_sums[:, None]
+        caps = np.floor(sub_budgets * resolution + _UNIT_SNAP)
+        ordered = (snr > 0.0) & (units[order] <= caps[:, None, :])
+        reach = np.log2(1.0 + np.where(ordered, snr, 0.0).sum(axis=1)).sum(axis=1)
+    bounds = [
+        total * (1.0 + 1e-9) + 1e-9 if weight_sum < math.inf else -math.inf
+        for total, weight_sum in zip(reach.tolist(), weight_sums.tolist())
+    ]
+    return {"weight_sums": weight_sums, "sub_budgets": sub_budgets, "caps": caps, "units": units,
+            "ordered": ordered, "snr": snr, "bounds": bounds}
+
+
+def assert_caps_stage_matches_the_full_stage(problem):
+    """The caps stage equals the frozen full stage bit for bit, without a
+    warning.  Its usable offers are absent exactly where the cheapest offer,
+    less the unit snap, lies above every non-NaN cap, and there the full
+    stage finds no usable offer.  The plan, built after, holds the frozen
+    units and SNRs either way.  Returns whether the usable offers are absent."""
+    want = reference_cap_splits(problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stage = selection_module._cap_splits(problem)
+    caps = want["caps"][~np.isnan(want["caps"])]
+    top = float(caps.max()) if caps.size else -math.inf
+    proved = independent_cheapest(problem.offers) * problem.resolution - _UNIT_SNAP > top
+    assert (stage.usable is None) == proved
+    if proved:
+        assert not want["ordered"].any()
+    else:
+        for name in ("units", "ordered", "snr"):
+            assert getattr(stage.usable, name).tobytes() == want[name].tobytes()
+    for name in ("weight_sums", "sub_budgets", "caps"):
+        assert getattr(stage, name).tobytes() == want[name].tobytes()
+    assert [bound.hex() for bound in stage.bounds] == [bound.hex() for bound in want["bounds"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = problem._split_plan
+    assert plan.units.tobytes() == want["units"].tobytes() and plan.snr.tobytes() == want["snr"].tobytes()
+    return proved
+
+
+def assert_a_standalone_split_takes_what_the_frozen_split_takes(problem):
+    for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+        fresh = SelectionProblem(problem.offers, problem.budget, problem.resolution)
+        try:
+            result = weighted_split_selection(fresh, kind)
+        except ValueError as exc:
+            assert "budget weights overflow" in str(exc)
+            continue
+        assert_same_totals(result, fresh.offers, reference_split(fresh, kind))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(caps_edge_problems())
+def test_property_caps_stage_leaves_out_the_usable_half_only_where_no_offer_fits(case):
+    snr, transfer, budget, resolution = case
+    offers = OfferMatrix(snr, transfer)
+    assert offers.cheapest == independent_cheapest(offers)
+    problem = SelectionProblem(offers, budget, resolution)
+    if assert_caps_stage_matches_the_full_stage(problem):
+        assert_a_standalone_split_takes_what_the_frozen_split_takes(problem)
+
+
+# 0.005000000001 * 1000 - 1e-9 is exactly 5.0, the cap of a budget of 0.005
+# at resolution 1000; the next float up lies above it.
+_AT_CAP_5 = 0.005000000001
+
+
+@pytest.mark.parametrize("snr, transfer, budget, resolution, proved", [
+    pytest.param([[3.0]], [[_AT_CAP_5]], 0.005, 1000, False, id="cheapest-less-snap-equals-the-cap"),
+    pytest.param([[3.0]], [[math.nextafter(_AT_CAP_5, 1.0)]], 0.005, 1000, True, id="one-float-above-the-cap"),
+    pytest.param([[3.0, 2.0]], [[0.5, 0.7]], 1e306, 1000, False, id="infinite-caps"),
+    pytest.param(np.zeros((0, 4)), np.zeros((0, 4)), 2.0, 10, True, id="no-relays"),
+    pytest.param([[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], 0.0, 1000, False, id="one-free-offer"),
+    pytest.param([[3.0, 5.0]], [[0.0, 4.0]], 2.0, 1, False, id="a-free-offer-and-a-dear-one"),
+    pytest.param([[0.0, 0.0]], [[0.0, 0.0]], 1.0, 1000, True, id="all-declined"),
+])
+def test_caps_stage_proof_at_its_edges(snr, transfer, budget, resolution, proved):
+    problem = SelectionProblem(OfferMatrix(np.array(snr, dtype=float), np.array(transfer, dtype=float)), budget, resolution)
+    assert assert_caps_stage_matches_the_full_stage(problem) is proved
+    if proved:
+        assert_a_standalone_split_takes_what_the_frozen_split_takes(problem)
+        assert problem._split_caps.bounds == [1e-9, 1e-9, 1e-9]
+    if budget * resolution >= 2.0**53:  # the frozen knapsack cannot price the shares
+        return
+    # `overall_heuristic` on a fresh problem returns the best of its four candidates run in full.
+    fresh = SelectionProblem(problem.offers, budget, resolution)
+    kinds = (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW)
+    candidates = [reference_split(fresh, kind) for kind in kinds] + [reference_sscpa(fresh)]
+    best = max(candidates, key=lambda subsets: reference_totals(fresh.offers, subsets)[0])
+    assert_same_totals(overall_heuristic(fresh), fresh.offers, best)
+
+
+def test_caps_stage_proof_where_every_cap_is_nan(monkeypatch):
+    # Budget weights that all sum to zero make every cap NaN, which makes
+    # nothing usable, not even a free offer: no cap is left to compare.
+    monkeypatch.setattr(selection_module, "weight_profile", lambda offers, kind: np.zeros(offers.n))
+    offers = OfferMatrix(np.array([[3.0, 2.0], [1.0, 0.0]]), np.array([[0.0, 0.5], [0.2, 0.0]]))
+    problem = SelectionProblem(offers, 1.0)
+    assert offers.cheapest == 0.0
+    assert assert_caps_stage_matches_the_full_stage(problem)
+    assert np.isnan(problem._split_caps.caps).all() and problem._split_caps.bounds == [1e-9, 1e-9, 1e-9]
+    for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+        result = weighted_split_selection(problem, kind)
+        assert (result.subsets, result.capacity, result.spend) == (((), ()), 0.0, 0.0)
+    assert problem._split_caps.usable is None
+    assert problem._split_plan.usable.tobytes() == np.zeros((3, 2, 2), dtype=bool).tobytes()
+
+
+def test_a_fine_quant_round_builds_no_price_units_and_no_usable_mask(monkeypatch):
+    # Rounds as the fine_quant benchmark plays them: K = 300, 32 subcarriers,
+    # 3 relays and budget 1 at resolution 1000.  Each split's cap is at most
+    # 46 money units and the cheapest offer costs over 100, so the caps
+    # stage proves every split empty and SSCPA is the result.
+    priced = []
+    original = selection_module._price_units
+    monkeypatch.setattr(selection_module, "_price_units", lambda t, r: priced.append(t.shape) or original(t, r))
+    config = ExperimentConfig(quant=300, subcarriers=32, relays=3, budget=1.0, trials=1)
+    menu = broadcast_menu(config)
+    for seed in range(12):
+        types = sample_type_vector(config.dist, 96, np.random.default_rng(seed)).reshape(3, 32)
+        problem = SelectionProblem(accepted_offers(menu, types), 1.0, 1000)
+        result = overall_heuristic(problem)
+        stage = problem._split_caps
+        assert stage.usable is None
+        assert "_plan" not in vars(problem)
+        assert np.nanmax(stage.caps) <= 46.0 and problem.offers.cheapest > 0.1
+        assert_same_totals(result, problem.offers, reference_sscpa_walk(problem))
+        assert_same_totals(best_snr_baseline(problem), problem.offers, reference_best_snr_baseline(problem))
+    assert priced == []
+
+
+# The largest price below 2**53 money units at resolution 1000.
+_BELOW_2_53_UNITS = math.nextafter(2.0**53 / 1000, 0.0)
+
+
+@pytest.mark.parametrize("snr, transfer, cheapest", [
+    pytest.param(np.zeros((0, 3)), np.zeros((0, 3)), math.inf, id="empty"),
+    pytest.param(np.zeros((2, 3)), np.zeros((2, 3)), math.inf, id="all-declined"),
+    pytest.param(np.full((2, 3), 4.0), np.zeros((2, 3)), 0.0, id="all-free"),
+    pytest.param([[1e-300, 2.0]], [[5e-324, 1.0]], 5e-324, id="price-5e-324"),
+    pytest.param([[1.0, 2.0]], [[_BELOW_2_53_UNITS, 3.0]], 3.0, id="a-price-just-below-2**53-units"),
+    pytest.param([[1.0]], [[_BELOW_2_53_UNITS]], _BELOW_2_53_UNITS, id="cheapest-just-below-2**53-units"),
+])
+def test_the_cheapest_offer_is_found_and_used_without_a_warning(snr, transfer, cheapest):
+    snr, transfer = np.array(snr, dtype=float), np.array(transfer, dtype=float)
+    assert _BELOW_2_53_UNITS * 1000 < 2.0**53
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        offers = OfferMatrix(snr, transfer)
+        for budget in (0.0, 1.0, cheapest if cheapest < math.inf else 2.0):
+            problem = SelectionProblem(offers, budget, 1000)
+            overall_heuristic(problem), best_snr_baseline(problem)
+            assert_caps_stage_matches_the_full_stage(problem)
+    assert type(offers.cheapest) is float and offers.cheapest == cheapest
 
 
 # -- property tests against the reference copies ------------------------------
