@@ -31,8 +31,10 @@ compares every output file byte for byte:
   subset's units and the earlier cap, where that subset settles a tie; a
   later cap above the earlier one, so that knapsack is solved again; a
   two-offer knapsack, whose DP is its first row and one last comparison;
-  SSCPA above every split's cheap bound, so no split plan is built, and
-  equal to them; valid offers that only the full offer checks pass; 64
+  SSCPA above every split's plan bound, so no split runs, and equal to
+  them; SSCPA tied with the empty splits at capacity 0.0, where the
+  caps stage's cheapest-offer proof holds or just fails, so ESW's empty
+  selection wins; valid offers that only the full offer checks pass; 64
   subcarriers on a budget that buys two offers, so almost every subset
   is empty; a column whose declined offers lie between free ones; budgets
   that land on, or just below, the cheapest price; and a cheapest price
@@ -119,11 +121,11 @@ EDGE_OFFERS = {
     # One subcarrier: the three splits share ESW's two-offer knapsack.
     "two_offers": (["0,0,10,1", "1,0,10,0.5"], ("1",)),
     # At budget 2 no share reaches the 1.2 offer, which SSCPA buys: every
-    # cheap bound, log2(32) with the margin, is below SSCPA's log2(32) + 1,
-    # so no plan is built.  At budget 1 SSCPA cannot buy it, and the plan is built.
+    # plan bound, log2(32) with the margin, is below SSCPA's log2(32) + 1,
+    # so no split runs.  At budget 1 SSCPA cannot buy it, and the splits run.
     "cheap_below": (["0,0,31,0.5", "0,1,1,1.2"], ("2", "1")),
     # The same, with an SNR on the 1.2 offer at which SSCPA's capacity equals
-    # every cheap bound, and every plan bound: the splits run and lose.
+    # every plan bound: the splits run and lose.
     "cheap_equal": (["0,0,31,0.5", "0,1,4.158883126770264e-09,1.2"], ("2",)),
     # Valid offers that the fused check cannot pass, so the full checks
     # build them: twice the largest SNR, 1e308, times the relay count
@@ -149,9 +151,17 @@ EDGE_OFFERS = {
     # and one float below it buys nothing.
     "lands_on_cheapest": (["0,0,4,0.5", "0,1,3,0.25"], ("0.75", "0.25", "0.24999999999999997")),
     # At budget 0.005 every cap is 5 money units, and 0.005000000001 * 1000
-    # less the 1e-9 snap is exactly 5: the offer is usable, so the caps stage
-    # keeps its usable half; the next offer is one unit dearer.
+    # less the 1e-9 snap is exactly 5: the offer is usable, so the caps
+    # stage's proof fails; the next offer is one unit dearer.
     "price_at_cap": (["0,0,3,0.005000000001", "1,0,2,0.005000000002"], ("0.005",)),
+    # SSCPA's capacity is 0.0 on both budgets, as are the splits': ESW's
+    # empty selection keeps the tie.  At 0.5 SSCPA buys the 1e-17 offer and
+    # the ASW and NSW caps of 500 units keep the proof from holding; at 0.3
+    # the proof holds and SSCPA buys nothing.
+    "proof_tie": (["0,0,1e-17,0.407", "0,1,47.7,1.135", "0,2,0,0"], ("0.5", "0.3")),
+    # Every cap is 250 units and both offers cost 407: the proof holds, and
+    # SSCPA still buys an offer whose log2(1 + SNR) is 0.0.
+    "proof_tie_bought": (["0,0,1e-17,0.407", "0,1,1e-17,0.407"], ("0.5",)),
 }
 
 

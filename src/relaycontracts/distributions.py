@@ -198,19 +198,18 @@ def type_probabilities(
     distribution's CDF is evaluated once and its column repeated; a list
     evaluates each subcarrier's marginal.
     """
+    _check_integer("subcarrier count", n_subcarriers)
     if n_subcarriers < 1:
         raise ValueError("need at least one subcarrier")
-    if isinstance(dist, TypeDistribution):
-        dists = [dist] * n_subcarriers
-    else:
-        dists = list(dist)
-        if len(dists) != n_subcarriers:
-            raise ValueError(
-                f"got {len(dists)} marginals for {n_subcarriers} subcarriers"
-            )
     d = np.asarray(deltas, dtype=float)
     if d.ndim != 1 or d.size < 1:
         raise ValueError("deltas must be a non-empty 1-D grid")
+    k = d.size
+    _check_array_bytes(k * int(n_subcarriers), f"type grid of {k} types x {n_subcarriers} subcarriers")
+    single = isinstance(dist, TypeDistribution)
+    dists = [dist] if single else list(dist)
+    if not single and len(dists) != n_subcarriers:
+        raise ValueError(f"got {len(dists)} marginals for {n_subcarriers} subcarriers")
     if np.any(np.diff(d) <= 0.0):
         raise ValueError("deltas must be strictly increasing")
     low, high = dists[0].low, dists[0].high
@@ -219,7 +218,7 @@ def type_probabilities(
     if d[0] < low or d[-1] > high:
         raise ValueError("deltas must lie inside the distribution support")
     edges = np.append(d, high)
-    if isinstance(dist, TypeDistribution):
+    if single:
         return np.repeat(np.diff(dist.cdf(edges))[:, None], n_subcarriers, axis=1)
     return np.column_stack([np.diff(f.cdf(edges)) for f in dists])
 

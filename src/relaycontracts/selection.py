@@ -315,12 +315,16 @@ def knapsack_01(
     """Exact 0-1 knapsack on one subcarrier's offers, discretized to money units.
 
     Transfers round up and the budget rounds down at `resolution` units per
-    1.0 of money, so the selection never overdraws the true budget.  Returns
-    the selected relay indices in ascending order.  Raises ValueError on a
-    sub-budget or a price that is not finite and non-negative or is 2**53
-    money units or more (as `SelectionProblem` does for prices), and rather
-    than allocate more than 2**28 bytes by the bound (usable offers + 16) x
-    width: the bool table plus two float rows of the width.  The table holds
+    1.0 of money, each past a 1e-9-unit snap against float noise: a price
+    within 1e-9 units above a whole unit rounds down to it, and the budget
+    within 1e-9 units below one rounds up.  So the selection may overdraw
+    the sub-budget by up to (offers taken + 1) * 1e-9 / resolution of
+    money, plus float rounding.  Returns the selected relay indices in
+    ascending order.  Raises ValueError on a sub-budget or a price that is
+    not finite and non-negative or is 2**53 money units or more (as
+    `SelectionProblem` does for prices), and rather than allocate more than
+    2**28 bytes by the bound (usable offers + 16) x width: the bool table
+    plus two float rows of the width.  The table holds
     one row fewer than the usable offers: the first row is a fill, as the
     best values are all zero before it, and the traceback reads the last
     item's row in one cell, at the sub-budget's units, so one comparison
@@ -412,54 +416,24 @@ def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
 
 
 @dataclass
-class _UsableOffers:
-    """The offers each split's caps let `knapsack_01` use: an offer is usable
-    under a cap where its SNR is positive and its units fit the cap."""
-
-    units: np.ndarray  # (M, N) each offer's price in money units, rounded up as charged
-    ordered: np.ndarray  # (3, M, N) the usable offers in efficiency order
-    snr: np.ndarray  # (M, N) the offers' SNRs in efficiency order
-
-
-def _usable_offers(problem: SelectionProblem, caps: np.ndarray) -> _UsableOffers:
-    offers = problem.offers
-    units = _price_units(offers.transfer, problem.resolution)
-    order = offers.efficiency_order, np.arange(offers.n)
-    snr = offers.snr[order]
-    return _UsableOffers(units, (snr > 0.0) & (units[order] <= caps[:, None, :]), snr)
-
-
-@dataclass
 class _SplitCaps:
-    """One row per split, ESW, ASW, NSW: its shares, caps and a cheap bound
-    on its capacity that needs no fractional fill, and the usable offers
-    that bound was found from.  The usable offers in relay order, which
-    only a running split reads, come with the plan."""
+    """One row per split, ESW, ASW, NSW: its budget shares and their caps,
+    and the cheapest-offer proof that no split can use any offer."""
 
     weight_sums: np.ndarray  # (3,) each split's budget weights summed, inf where they overflow
     sub_budgets: np.ndarray  # (3, N) budget shares
     caps: np.ndarray  # (3, N) the shares in `knapsack_01`'s money units, NaN where weights sum to 0
-    bounds: list[float]  # each split's cheap bound, -inf where its weights overflow
-    usable: _UsableOffers | None  # None where the cheapest offer fits no cap
+    nothing_fits: bool  # the cheapest offer's units lie above every cap, so every split is empty
 
 
 def _cap_splits(problem: SelectionProblem) -> _SplitCaps:
-    """Each split's budget shares, their caps and a cheap bound; the usable
-    offers only where an offer may fit a cap.
+    """Each split's budget shares, their caps, and the cheapest-offer proof.
 
-    An offer is usable under a cap where its SNR is positive and its units,
-    ceil(t*resolution - _UNIT_SNAP), fit the cap.  Caps are whole numbers,
-    NaN or inf, so this is the plan's test t*resolution - _UNIT_SNAP <= cap,
-    and a NaN cap makes nothing usable.  The cheap bound buys every usable
-    offer whole: the sum over subcarriers of log2(1 + their SNR sum), with
-    `_with_margin`, or -inf where the weights overflow.  The plan's fill
-    buys a share in [0, 1] of the same offers, summed in the same order and
-    shape, so the cheap bound is never below the plan bound.
-
-    That test rises with the price, so where `OfferMatrix.cheapest` fails
-    it against the largest non-NaN cap, no offer is usable under any cap:
-    each cheap bound is `_with_margin(0.0)`, or -inf, as the full stage
-    gives, and the usable offers are left to `_plan_splits`.
+    An offer is usable under a cap where its SNR is positive and its
+    `_price_units` fit the cap; a NaN cap makes nothing usable.  The units
+    rise with the price, so where `OfferMatrix.cheapest`'s units lie above
+    the largest non-NaN cap, no offer is usable under any cap, and every
+    split takes nothing.
     """
     offers, resolution = problem.offers, problem.resolution
     with np.errstate(over="ignore", invalid="ignore"):  # weight sums of inf or 0, inf shares
@@ -467,17 +441,8 @@ def _cap_splits(problem: SelectionProblem) -> _SplitCaps:
         weight_sums = weights.sum(axis=1)
         sub_budgets = weights * problem.budget / weight_sums[:, None]
         caps = _money_units(sub_budgets, resolution)
-        top = float(np.fmax.reduce(caps, axis=None, initial=-math.inf))  # NaN caps fit nothing
-        if offers.cheapest * float(resolution) - _UNIT_SNAP > top:
-            usable, reach = None, [0.0] * 3
-        else:
-            usable = _usable_offers(problem, caps)
-            reach = np.log2(1.0 + np.where(usable.ordered, usable.snr, 0.0).sum(axis=1)).sum(axis=1).tolist()
-    bounds = [
-        _with_margin(total) if weight_sum < math.inf else -math.inf
-        for total, weight_sum in zip(reach, weight_sums.tolist())
-    ]
-    return _SplitCaps(weight_sums, sub_budgets, caps, bounds, usable)
+    top = np.fmax.reduce(caps, axis=None, initial=-math.inf)  # NaN caps fit nothing
+    return _SplitCaps(weight_sums, sub_budgets, caps, bool(_price_units(offers.cheapest, resolution) > top))
 
 
 @dataclass
@@ -485,9 +450,7 @@ class _SplitPlan:
     """One row per split, ESW, ASW, NSW.  The bounds order the splits, and
     each row's terms - estimates the knapsacks of its split."""
 
-    sub_budgets: np.ndarray  # (3, N) budget shares, as in `_SplitCaps`
-    caps: np.ndarray  # (3, N) their money units, as in `_SplitCaps`
-    units: np.ndarray  # (M, N) each offer's price in money units, as in `_UsableOffers`
+    units: np.ndarray  # (M, N) each offer's price in money units, rounded up as charged
     usable: np.ndarray  # (3, M, N) the offers each cap lets `knapsack_01` use, in relay order
     terms: np.ndarray  # (3, N) log2(1 + each subcarrier's fractional knapsack optimum)
     bounds: list[float]  # each split's capacity bound, -inf where its weights overflow
@@ -517,28 +480,26 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
     there.  An infinite cap buys every offer.  A split's bound is its terms'
     sum with `_with_margin`, or -inf where its weights overflow, so the
     split refuses to run.  A term's estimate counts only the offers the
-    fill buys whole.  The plan finds the usable offers where the stage
-    left them out.
+    fill buys whole.
     """
     offers, stage = problem.offers, problem._split_caps
-    caps = stage.caps
-    found = stage.usable or _usable_offers(problem, caps)
-    usable = found.ordered
+    caps = stage.caps[:, None, :]
+    units = _price_units(offers.transfer, problem.resolution)
+    order = offers.efficiency_order, np.arange(offers.n)
+    snr = offers.snr[order]
+    usable = (snr > 0.0) & (units[order] <= caps)
     with np.errstate(over="ignore", invalid="ignore"):  # inf caps, shares of prices near 0
-        priced = offers.transfer[offers.efficiency_order, np.arange(offers.n)] * problem.resolution
-        weight = np.where(usable, priced, 0.0)
+        weight = np.where(usable, offers.transfer[order] * problem.resolution, 0.0)
         ahead = np.zeros_like(weight)
         np.cumsum(weight[:, :-1, :], axis=1, out=ahead[:, 1:, :])
-        room = caps[:, None, :] + offers.m * _UNIT_SNAP
+        room = caps + offers.m * _UNIT_SNAP
         bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
         np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
     np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
-    terms = np.log2(1.0 + (bought * found.snr).sum(axis=1))
+    terms = np.log2(1.0 + (bought * snr).sum(axis=1))
     bounds = np.where(stage.weight_sums < math.inf, _with_margin(terms.sum(axis=1)), -math.inf)
-    relay_usable = (offers.snr > 0.0) & (found.units <= caps[:, None, :])
-    return _SplitPlan(
-        stage.sub_budgets, caps, found.units, relay_usable, terms, bounds.tolist(), bought, found.snr
-    )
+    relay_usable = (offers.snr > 0.0) & (units <= caps)
+    return _SplitPlan(units, relay_usable, terms, bounds.tolist(), bought, snr)
 
 
 def _reused(solved: list[list], cap: float, units: np.ndarray, n: int) -> list[int] | None:
@@ -597,10 +558,10 @@ def weighted_split_selection(
     it would need, as the split knows its usable offers.
     """
     row = _split_row(kind)
-    offers, plan = problem.offers, problem._split_plan
+    offers, stage, plan = problem.offers, problem._split_caps, problem._split_plan
     if plan.bounds[row] == -math.inf:
         raise ValueError(f"{kind.value} budget weights overflow: their sum is inf")
-    resolution, sub_budgets, caps = problem.resolution, plan.sub_budgets[row], plan.caps[row]
+    resolution, sub_budgets, caps = problem.resolution, stage.sub_budgets[row], stage.caps[row]
     units, usable = plan.units, plan.usable[row]
     # Float sums of whole units are exact below 2**53 and stay at or above it, where int64
     # sums of many prices near 2**53 units would wrap.  A NaN cap fits: nothing under it is usable.
@@ -681,15 +642,15 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
 def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     """Best of the ESW/ASW/NSW splits and SSCPA; ties keep the earlier method.
 
-    SSCPA runs first.  Where every split's cheap bound (`_cap_splits`) is
-    below its capacity, no split can reach it: SSCPA is the result, and the
-    split plan is never built.  Where the cheapest offer fits no cap, the
-    cheap bounds are those of empty splits, found from the caps alone.
-    Otherwise the splits run by descending `_plan_splits` bound, never
-    above the cheap one, equal bounds in ESW, ASW, NSW order, so the
-    likeliest winner raises the best capacity so far early.  A split whose
-    bound is below that best cannot win and does not run.  One that runs gets the best as its
-    `floor` and stops once its running bound falls below it, with a
+    SSCPA runs first.  Where the caps stage proves that no split can use
+    any offer (`_cap_splits`), every split is the empty selection, capacity
+    0.0: if SSCPA's capacity is above 0.0 it is the result, and the split
+    plan is never built.  At 0.0 the splits run, so ESW's empty selection
+    keeps the tie.  Otherwise the splits run by descending `_plan_splits`
+    bound, equal bounds in ESW, ASW, NSW order, so the likeliest winner
+    raises the best capacity so far early.  A split whose bound is below
+    that best cannot win and does not run.  One that runs gets the best as
+    its `floor` and stops once its running bound falls below it, with a
     capacity below the final best.  The result is the first maximum, in
     ESW, ASW, NSW, SSCPA order, among the candidates that ran.  Only a
     candidate below the final best is skipped or stops, so the result is
@@ -707,8 +668,7 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     """
     ran = [None, None, None, sscpa(problem)]  # by rank: ESW, ASW, NSW, SSCPA
     best = ran[3].capacity
-    winner = ran[3]
-    if max(problem._split_caps.bounds) >= best:  # else no split can reach SSCPA: no plan to build
+    if not (problem._split_caps.nothing_fits and best > 0.0):
         bounds = problem._split_plan.bounds
         solved: dict[int, list[list]] = {}  # the knapsacks the splits solve, for the later ones
         for row in sorted(range(3), key=bounds.__getitem__, reverse=True):  # stable on ties
@@ -716,7 +676,7 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
                 break
             ran[row] = weighted_split_selection(problem, _SPLIT_KINDS[row], floor=best, _solved=solved)
             best = max(best, ran[row].capacity)
-        winner = max([result for result in ran if result is not None], key=lambda r: r.capacity)
+    winner = max([result for result in ran if result is not None], key=lambda r: r.capacity)
     return SelectionResult(winner.subsets, winner.capacity, winner.spend, SelectionMethod.OVERALL)
 
 

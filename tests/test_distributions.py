@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -195,6 +196,36 @@ def test_the_array_cap_counts_8_bytes_a_value(monkeypatch):
         sample_type_vector(dist, 11, np.random.default_rng(0))
     with pytest.raises(ValueError, match="type grid of 5 types x 3 subcarriers exceeds"):
         TypeGrid.from_distribution(dist, 5, 3)
+
+
+@pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)])
+def test_type_probabilities_refuses_a_subcarrier_count_that_is_not_an_integer(count):
+    dist = TypeDistribution.uniform(50.0, 300.0)
+    with pytest.raises(ValueError, match="subcarrier count must be an integer"):
+        type_probabilities(dist, quantize_types(dist, 4), count)
+
+
+def test_type_probabilities_takes_a_numpy_count_and_refuses_one_past_the_cap(monkeypatch):
+    dist = TypeDistribution.uniform(50.0, 300.0)
+    deltas = quantize_types(dist, 4)
+    want = type_probabilities(dist, deltas, 3)
+    assert type_probabilities(dist, deltas, np.int64(3)).tobytes() == want.tobytes()
+    assert type_probabilities([dist] * 3, deltas, np.int64(3)).tobytes() == want.tobytes()
+    # A count past the cap is refused before the matrix, or a list of one
+    # distribution per subcarrier, is built.
+    tracemalloc.start()
+    try:
+        for count in (2**40, np.int64(2**62)):
+            with pytest.raises(ValueError, match=f"type grid of 4 types x {count} subcarriers exceeds 2\\*\\*28 bytes"):
+                type_probabilities(dist, deltas, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(distributions_module, "_MAX_ARRAY_BYTES", 96)
+    assert type_probabilities(dist, deltas, 3).shape == (4, 3)
+    with pytest.raises(ValueError, match="type grid of 4 types x 4 subcarriers exceeds"):
+        type_probabilities(dist, deltas, 4)
 
 
 def test_a_cdf_whose_rate_times_the_span_overflows_is_right_without_a_warning():

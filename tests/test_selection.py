@@ -1299,9 +1299,9 @@ def test_split_plan_matches_the_single_pass_plan_bitwise():
         problems.append(SelectionProblem(OfferMatrix(snr, transfer), budget, int(rng.choice([1, 7, 1000]))))
     overall_heuristic(problems[0])  # every split's free offers fit: no knapsack, no estimates
     for problem in problems:
-        plan = problem._split_plan
+        stage, plan = problem._split_caps, problem._split_plan
         assert "estimates" not in vars(plan)
-        got = plan.sub_budgets, plan.caps, plan.terms, plan.estimates, plan.bounds
+        got = stage.sub_budgets, stage.caps, plan.terms, plan.estimates, plan.bounds
         for row, want in zip(got, reference_plan_splits(problem)):
             assert np.asarray(row).tobytes() == np.asarray(want).tobytes()
         assert plan.estimates is plan.estimates
@@ -1313,16 +1313,19 @@ def split_bounds(problem):
 
 
 def assert_bounds_dominate_splits(problem):
-    """Each split's plan bound is at least its capacity, and its cheap
-    bound at least its plan bound; a split whose weights overflow has bound -inf."""
+    """Each split's plan bound is at least its capacity, and a split whose
+    weights overflow has bound -inf.  Where the caps stage proves that no
+    offer fits, each split that runs takes nothing."""
     bounds = split_bounds(problem)
-    # The caps stage's cheap bound buys every usable offer whole: never below the plan's.
-    assert (np.array(problem._split_caps.bounds) >= bounds).all()
     for kind, bound in zip((SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW), bounds):
         try:
-            assert bound >= weighted_split_selection(problem, kind).capacity
+            result = weighted_split_selection(problem, kind)
         except ValueError as exc:
             assert "budget weights overflow" in str(exc) and bound == -math.inf
+            continue
+        assert bound >= result.capacity
+        if problem._split_caps.nothing_fits:
+            assert (result.subsets, result.capacity, result.spend) == (((),) * problem.offers.n, 0.0, 0.0)
 
 
 def test_split_bounds_dominate_the_splits_on_edge_cases():
@@ -1367,7 +1370,7 @@ def test_a_nan_cap_buys_nothing_not_even_free_offers():
     # offers that ESW and SSCPA take.
     problem = SelectionProblem(OfferMatrix(np.array([[3.0, 1e-17], [2.0, 0.0]]), np.zeros((2, 2))), 1.0)
     plan = problem._split_plan
-    assert np.isnan(plan.caps[1:]).all()
+    assert np.isnan(problem._split_caps.caps[1:]).all()
     assert (plan.terms[1:] == 0.0).all() and (plan.estimates[1:] == 0.0).all()
     for kind in (SelectionMethod.ASW, SelectionMethod.NSW):
         assert weighted_split_selection(problem, kind).subsets == ((), ())
@@ -1528,7 +1531,7 @@ def test_overall_reuses_a_subset_within_its_units_and_cap_and_solves_above_the_c
     snr = np.array([[15.0, 10.0], [15.0, 5.0], [5.0, 10.0]])
     transfer = np.array([[2.0, 1.5], [2.0, 1.5], [1.5, 1.0]])
     problem = SelectionProblem(OfferMatrix(snr, transfer), 4.0)
-    assert problem._split_plan.caps[[0, 2]].tolist() == [[2000.0, 2000.0], [2018.0, 1981.0]]
+    assert problem._split_caps.caps[[0, 2]].tolist() == [[2000.0, 2000.0], [2018.0, 1981.0]]
     result = overall_heuristic(problem)
     assert calls == [(3, 4000, 1981), (3, 5500, 2018), (3, 4000, 2000)]
     assert result.subsets == ((0,), (0,))
@@ -1616,6 +1619,39 @@ def test_knapsack_refuses_a_resolution_outside_1_to_2_to_the_53(resolution):
 def test_knapsack_refuses_a_table_above_the_memory_cap():
     with pytest.raises(ValueError, match="1 usable offers x 20000001 money units"):
         knapsack_01(np.array([5.0, 1.0]), np.array([1.0, 3e7]), 2.0, 10**7)
+
+
+def assert_overdraw_within_the_snap(result, problem):
+    """The spend exceeds the budget by at most 1e-9 money units per offer
+    bought plus 1e-9 per subcarrier share, (bought + N) * 1e-9 / resolution
+    of money, plus float rounding: a few ulps of the budget per term."""
+    terms = sum(map(len, result.subsets)) + problem.offers.n
+    rounding = 4 * terms * np.finfo(float).eps * max(problem.budget, result.spend)
+    assert result.spend - problem.budget <= terms * 1e-9 / problem.resolution + rounding
+
+
+def test_selection_overdraws_the_budget_by_at_most_the_unit_snap():
+    # 0.005000000001 * 1000 less the 1e-9 snap is 5 units, the cap of budget
+    # 0.005, so every split buys the 3: Overall spends 1e-12 over the budget,
+    # and its capacity, 2, exceeds the relaxed bound by less than 1e-6.
+    offers = offers_from_csv("m,n,gamma_linear,transfer\n0,0,3,0.005000000001\n1,0,2,0.005000000002\n")
+    problem = SelectionProblem(offers, 0.005)
+    result = overall_heuristic(problem)
+    assert result.subsets == ((0,),) and result.spend == 0.005000000001 > problem.budget
+    assert_overdraw_within_the_snap(result, problem)
+    relaxed = relaxed_upper_bound(problem)
+    assert relaxed < result.capacity == 2.0 <= relaxed + 1e-6
+    assert sscpa(problem).subsets == best_snr_baseline(problem).subsets == ((),)
+    # Prices a fraction of the snap above whole units, on many subcarriers.
+    rng = np.random.default_rng(5151)
+    for _ in range(200):
+        m, n, resolution = int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.choice([1, 10, 1000]))
+        snr = rng.uniform(0.5, 50.0, (m, n))
+        transfer = (rng.integers(1, 6, (m, n)) + rng.uniform(0.0, 1e-9, (m, n))) / resolution
+        problem = SelectionProblem(OfferMatrix(snr, transfer), float(rng.integers(1, 4 * n)) / resolution, resolution)
+        for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+            assert_overdraw_within_the_snap(weighted_split_selection(problem, kind), problem)
+        assert_overdraw_within_the_snap(overall_heuristic(problem), problem)
 
 
 def test_split_needs_no_table_where_every_offer_fits():
@@ -1786,14 +1822,15 @@ def test_property_offers_and_caps_stage_match_the_checked_build_and_the_plan(cas
     offers = assert_offers_build_as_checked(snr, transfer)
     problem = SelectionProblem(offers, budget, resolution)
     result = overall_heuristic(problem)
-    cheap, sequential = problem._split_caps.bounds, sscpa(problem)
-    # The plan is built exactly where some cheap bound reaches SSCPA's capacity.
-    assert ("_plan" in vars(problem)) == (max(cheap) >= sequential.capacity)
-    if max(cheap) < sequential.capacity:
+    sequential = sscpa(problem)
+    # The plan is built exactly where the proof fails or SSCPA's capacity is 0.0.
+    skipped = problem._split_caps.nothing_fits and sequential.capacity > 0.0
+    assert ("_plan" in vars(problem)) != skipped
+    if skipped:
         assert (result.subsets, result.capacity, result.spend) == (
             sequential.subsets, sequential.capacity, sequential.spend
         )
-    assert (np.array(cheap) >= split_bounds(problem)).all()
+    assert_bounds_dominate_splits(problem)
 
 
 @pytest.mark.parametrize("snr, transfer, message", [
@@ -1829,9 +1866,9 @@ def test_valid_offers_that_leave_the_fast_path_build_as_checked(snr, transfer):
     assert assert_offers_build_as_checked(snr, transfer) is not None
 
 
-def test_overall_builds_no_split_plan_where_sscpa_beats_every_cheap_bound(monkeypatch):
+def test_overall_builds_no_split_plan_where_no_offer_fits_and_sscpa_buys_capacity(monkeypatch):
     # Every share is 1.0, and each offer costs 1.01, so no split can use
-    # one: every cheap bound is 1e-9.  SSCPA buys the offer on subcarrier 0.
+    # one.  SSCPA buys the offer on subcarrier 0.
     plans = []
     original = selection_module._plan_splits
 
@@ -1843,19 +1880,38 @@ def test_overall_builds_no_split_plan_where_sscpa_beats_every_cheap_bound(monkey
     problem = SelectionProblem(OfferMatrix(np.array([[100.0, 100.0]]), np.array([[1.01, 1.01]])), 2.0)
     result = overall_heuristic(problem)
     best = sscpa(problem)
-    assert problem._split_caps.bounds == [1e-9, 1e-9, 1e-9] < [best.capacity] * 3
+    assert problem._split_caps.nothing_fits and best.capacity > 0.0
     assert plans == []
     assert (result.subsets, result.capacity, result.method) == (best.subsets, best.capacity, SelectionMethod.OVERALL)
-    # A cheap bound that reaches SSCPA's capacity builds the plan, once;
-    # so does one equal to it, where SSCPA buys log2(32) and an offer of
-    # SNR 4.2e-9 that no share reaches.
+    # An offer that fits a cap builds the plan, once; so it does where SSCPA
+    # buys log2(32) and an offer of SNR 4.2e-9 that no share reaches, and
+    # each plan bound equals SSCPA's capacity.
     problem = SelectionProblem(OfferMatrix(np.array([[100.0, 100.0]]), np.array([[1.0, 1.01]])), 2.0)
     overall_heuristic(problem)
-    assert max(problem._split_caps.bounds) > sscpa(problem).capacity
+    assert not problem._split_caps.nothing_fits
     equal = SelectionProblem(OfferMatrix(np.array([[31.0, 4.158883126770264e-09]]), np.array([[0.5, 1.2]])), 2.0)
     result = overall_heuristic(equal)
-    assert equal._split_caps.bounds == [sscpa(equal).capacity] * 3 == [result.capacity] * 3
+    assert equal._split_plan.bounds == [sscpa(equal).capacity] * 3 == [result.capacity] * 3
     assert plans == [problem, equal]
+
+
+@pytest.mark.parametrize("lines, budget, proved, bought", [
+    # SSCPA buys the 1e-17 offer at 0.407, capacity 0.0; the ASW and NSW
+    # caps of 500 on subcarrier 1 keep the proof from holding.
+    pytest.param(["0,0,1e-17,0.407", "0,1,47.7,1.135", "0,2,0,0"], 0.5, False, True, id="asw-cap-fits"),
+    pytest.param(["0,0,1e-17,0.407", "0,1,47.7,1.135", "0,2,0,0"], 0.3, True, False, id="nothing-affordable"),
+    # Every cap is 250 units and the offers cost 407: the proof holds, and
+    # SSCPA still buys an offer whose log2(1 + SNR) is 0.0.
+    pytest.param(["0,0,1e-17,0.407", "0,1,1e-17,0.407"], 0.5, True, True, id="proof-holds-sscpa-buys-zero"),
+])
+def test_overall_keeps_the_empty_esw_selection_where_sscpa_ties_at_zero(lines, budget, proved, bought):
+    offers = offers_from_csv("m,n,gamma_linear,transfer\n" + "\n".join(lines) + "\n")
+    problem = SelectionProblem(offers, budget)
+    sequential = sscpa(problem)
+    assert problem._split_caps.nothing_fits is proved
+    assert sequential.capacity == 0.0 and (sequential.spend > 0.0) is bought
+    result = overall_heuristic(problem)
+    assert (result.subsets, result.capacity, result.spend) == (((),) * offers.n, 0.0, 0.0)
 
 
 # -- the cheapest offer: SSCPA, the greedy and the caps stage stop there ------
@@ -1966,9 +2022,9 @@ def test_walks_keep_going_while_the_money_left_equals_the_cheapest_price():
 
 
 def reference_cap_splits(problem):
-    """Frozen copy of the full caps stage: shares, caps, the usable half and
-    the cheap bounds, all built on every problem.  Weights come from the
-    module's `weight_profile`, so a test can replace it."""
+    """Frozen copy of the full caps stage: shares, caps, price units and the
+    usable offers in efficiency and relay order, all built on every problem.
+    Weights come from the module's `weight_profile`, so a test can replace it."""
     offers, resolution = problem.offers, problem.resolution
     units = np.ceil(offers.transfer * resolution - _UNIT_SNAP)
     order = offers.efficiency_order, np.arange(offers.n)
@@ -1980,21 +2036,18 @@ def reference_cap_splits(problem):
         sub_budgets = weights * problem.budget / weight_sums[:, None]
         caps = np.floor(sub_budgets * resolution + _UNIT_SNAP)
         ordered = (snr > 0.0) & (units[order] <= caps[:, None, :])
-        reach = np.log2(1.0 + np.where(ordered, snr, 0.0).sum(axis=1)).sum(axis=1)
-    bounds = [
-        total * (1.0 + 1e-9) + 1e-9 if weight_sum < math.inf else -math.inf
-        for total, weight_sum in zip(reach.tolist(), weight_sums.tolist())
-    ]
+        usable = (offers.snr > 0.0) & (units <= caps[:, None, :])
     return {"weight_sums": weight_sums, "sub_budgets": sub_budgets, "caps": caps, "units": units,
-            "ordered": ordered, "snr": snr, "bounds": bounds}
+            "ordered": ordered, "usable": usable, "snr": snr}
 
 
 def assert_caps_stage_matches_the_full_stage(problem):
-    """The caps stage equals the frozen full stage bit for bit, without a
-    warning.  Its usable offers are absent exactly where the cheapest offer,
-    less the unit snap, lies above every non-NaN cap, and there the full
-    stage finds no usable offer.  The plan, built after, holds the frozen
-    units and SNRs either way.  Returns whether the usable offers are absent."""
+    """The caps stage's weight sums, shares and caps equal the frozen full
+    stage bit for bit, without a warning.  Its proof holds exactly where the
+    cheapest offer, less the unit snap, lies above every non-NaN cap, and
+    there the full stage finds no usable offer.  The plan, built after,
+    holds the frozen units, usable masks and SNRs either way.  Returns
+    whether the proof holds."""
     want = reference_cap_splits(problem)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -2002,19 +2055,18 @@ def assert_caps_stage_matches_the_full_stage(problem):
     caps = want["caps"][~np.isnan(want["caps"])]
     top = float(caps.max()) if caps.size else -math.inf
     proved = independent_cheapest(problem.offers) * problem.resolution - _UNIT_SNAP > top
-    assert (stage.usable is None) == proved
+    assert type(stage.nothing_fits) is bool and stage.nothing_fits == proved
     if proved:
         assert not want["ordered"].any()
-    else:
-        for name in ("units", "ordered", "snr"):
-            assert getattr(stage.usable, name).tobytes() == want[name].tobytes()
     for name in ("weight_sums", "sub_budgets", "caps"):
         assert getattr(stage, name).tobytes() == want[name].tobytes()
-    assert [bound.hex() for bound in stage.bounds] == [bound.hex() for bound in want["bounds"]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         plan = problem._split_plan
-    assert plan.units.tobytes() == want["units"].tobytes() and plan.snr.tobytes() == want["snr"].tobytes()
+    order = problem.offers.efficiency_order, np.arange(problem.offers.n)
+    assert plan.usable[:, order[0], order[1]].tobytes() == want["ordered"].tobytes()
+    for name in ("units", "usable", "snr"):
+        assert getattr(plan, name).tobytes() == want[name].tobytes()
     return proved
 
 
@@ -2031,7 +2083,7 @@ def assert_a_standalone_split_takes_what_the_frozen_split_takes(problem):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(caps_edge_problems())
-def test_property_caps_stage_leaves_out_the_usable_half_only_where_no_offer_fits(case):
+def test_property_caps_stage_proves_every_split_empty_only_where_no_offer_fits(case):
     snr, transfer, budget, resolution = case
     offers = OfferMatrix(snr, transfer)
     assert offers.cheapest == independent_cheapest(offers)
@@ -2059,7 +2111,6 @@ def test_caps_stage_proof_at_its_edges(snr, transfer, budget, resolution, proved
     assert assert_caps_stage_matches_the_full_stage(problem) is proved
     if proved:
         assert_a_standalone_split_takes_what_the_frozen_split_takes(problem)
-        assert problem._split_caps.bounds == [1e-9, 1e-9, 1e-9]
     if budget * resolution >= 2.0**53:  # the frozen knapsack cannot price the shares
         return
     # `overall_heuristic` on a fresh problem returns the best of its four candidates run in full.
@@ -2078,22 +2129,21 @@ def test_caps_stage_proof_where_every_cap_is_nan(monkeypatch):
     problem = SelectionProblem(offers, 1.0)
     assert offers.cheapest == 0.0
     assert assert_caps_stage_matches_the_full_stage(problem)
-    assert np.isnan(problem._split_caps.caps).all() and problem._split_caps.bounds == [1e-9, 1e-9, 1e-9]
+    assert np.isnan(problem._split_caps.caps).all() and problem._split_caps.nothing_fits
     for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
         result = weighted_split_selection(problem, kind)
         assert (result.subsets, result.capacity, result.spend) == (((), ()), 0.0, 0.0)
-    assert problem._split_caps.usable is None
     assert problem._split_plan.usable.tobytes() == np.zeros((3, 2, 2), dtype=bool).tobytes()
 
 
-def test_a_fine_quant_round_builds_no_price_units_and_no_usable_mask(monkeypatch):
+def test_a_fine_quant_round_prices_only_the_cheapest_offer_and_builds_no_plan(monkeypatch):
     # Rounds as the fine_quant benchmark plays them: K = 300, 32 subcarriers,
     # 3 relays and budget 1 at resolution 1000.  Each split's cap is at most
     # 46 money units and the cheapest offer costs over 100, so the caps
     # stage proves every split empty and SSCPA is the result.
     priced = []
     original = selection_module._price_units
-    monkeypatch.setattr(selection_module, "_price_units", lambda t, r: priced.append(t.shape) or original(t, r))
+    monkeypatch.setattr(selection_module, "_price_units", lambda t, r: priced.append(np.shape(t)) or original(t, r))
     config = ExperimentConfig(quant=300, subcarriers=32, relays=3, budget=1.0, trials=1)
     menu = broadcast_menu(config)
     for seed in range(12):
@@ -2101,12 +2151,12 @@ def test_a_fine_quant_round_builds_no_price_units_and_no_usable_mask(monkeypatch
         problem = SelectionProblem(accepted_offers(menu, types), 1.0, 1000)
         result = overall_heuristic(problem)
         stage = problem._split_caps
-        assert stage.usable is None
+        assert stage.nothing_fits and result.capacity > 0.0
         assert "_plan" not in vars(problem)
         assert np.nanmax(stage.caps) <= 46.0 and problem.offers.cheapest > 0.1
         assert_same_totals(result, problem.offers, reference_sscpa_walk(problem))
         assert_same_totals(best_snr_baseline(problem), problem.offers, reference_best_snr_baseline(problem))
-    assert priced == []
+    assert priced == [()] * 12  # the one price of the proof per round, no (M, N) units
 
 
 # The largest price below 2**53 money units at resolution 1000.
