@@ -37,8 +37,10 @@ compares every output file byte for byte:
   selection wins; valid offers that only the full offer checks pass; 64
   subcarriers on a budget that buys two offers, so almost every subset
   is empty; a column whose declined offers lie between free ones; budgets
-  that land on, or just below, the cheapest price; and a cheapest price
-  whose money units less the rounding snap equal every cap;
+  that land on, or just below, the cheapest price; a cheapest price
+  whose money units less the rounding snap equal every cap; and an
+  earlier split's exact knapsack term at a wider cap that stops a later
+  split before its first knapsack, or only ties its fractional term;
 - `contracts` and `table3` at their defaults.
 
 Prints each output's sha256 on both sides and exits 1 if any output
@@ -162,6 +164,14 @@ EDGE_OFFERS = {
     # Every cap is 250 units and both offers cost 407: the proof holds, and
     # SSCPA still buys an offer whose log2(1 + SNR) is 0.0.
     "proof_tie_bought": (["0,0,1e-17,0.407", "0,1,1e-17,0.407"], ("0.5",)),
+    # ESW runs first and solves subcarrier 1 at cap 1375 (exact term
+    # log2(18)); ASW's cap there is 1002, so that term replaces its
+    # fractional log2(19.78), and ASW stops before its first knapsack.
+    "exact_term_stops": (["0,0,23,1", "0,1,15,1", "1,1,15,0.75", "2,0,39,0.75", "2,1,2,0.25"], ("2.75",)),
+    # ESW solves subcarrier 1 at cap 375 (exact term log2(8)); NSW's cap
+    # there is 350, and its fractional term, log2(8 + a share of 1e-17),
+    # is log2(8) too: the terms tie, and ESW ties SSCPA at capacity 3.
+    "exact_term_ties": (["0,1,7,0.25", "1,0,16,1", "1,1,1e-17,0.25"], ("0.75",)),
 }
 
 

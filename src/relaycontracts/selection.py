@@ -131,9 +131,26 @@ class OfferMatrix:
         for name, values in (
             ("snr", snr), ("transfer", transfer), ("efficiency", ratio), ("efficiency_order", order)
         ):
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, _read_only(values))
         object.__setattr__(self, "cheapest", float(transfer.min(where=snr > 0.0, initial=math.inf)))
+
+    # SSCPA, the split plan and the relaxed sweep read the offers in
+    # efficiency order.  Each gather is built once, read-only, on first use,
+    # so a matrix that is only parsed or written holds none of them.
+    @functools.cached_property
+    def ordered_at(self) -> np.ndarray:
+        """The flat index of each (rank, subcarrier) offer in `efficiency_order`."""
+        return _read_only(self.efficiency_order * self.n + np.arange(self.n))
+
+    @functools.cached_property
+    def ordered_snr(self) -> np.ndarray:
+        """The SNRs in `efficiency_order`, (rank, subcarrier)."""
+        return _read_only(self.snr.take(self.ordered_at))
+
+    @functools.cached_property
+    def ordered_transfer(self) -> np.ndarray:
+        """The prices in `efficiency_order`, (rank, subcarrier)."""
+        return _read_only(self.transfer.take(self.ordered_at))
 
     @property
     def m(self) -> int:
@@ -142,6 +159,11 @@ class OfferMatrix:
     @property
     def n(self) -> int:
         return self.snr.shape[1]
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 def _fast_efficiency(snr: np.ndarray, transfer: np.ndarray) -> np.ndarray | None:
@@ -485,11 +507,10 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
     offers, stage = problem.offers, problem._split_caps
     caps = stage.caps[:, None, :]
     units = _price_units(offers.transfer, problem.resolution)
-    order = offers.efficiency_order, np.arange(offers.n)
-    snr = offers.snr[order]
-    usable = (snr > 0.0) & (units[order] <= caps)
+    snr = offers.ordered_snr
+    usable = (snr > 0.0) & (units.take(offers.ordered_at) <= caps)
     with np.errstate(over="ignore", invalid="ignore"):  # inf caps, shares of prices near 0
-        weight = np.where(usable, offers.transfer[order] * problem.resolution, 0.0)
+        weight = np.where(usable, offers.ordered_transfer * problem.resolution, 0.0)
         ahead = np.zeros_like(weight)
         np.cumsum(weight[:, :-1, :], axis=1, out=ahead[:, 1:, :])
         room = caps + offers.m * _UNIT_SNAP
@@ -502,20 +523,22 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
     return _SplitPlan(units, relay_usable, terms, bounds.tolist(), bought, snr)
 
 
-def _reused(solved: list[list], cap: float, units: np.ndarray, n: int) -> list[int] | None:
-    """A subset solved on this subcarrier at a cap >= `cap` whose own units fit `cap`.
+def _reused(solved: list[list], cap: float, units: np.ndarray, n: int) -> list | None:
+    """The entry of a knapsack solved on this subcarrier at a cap >= `cap`
+    whose subset's own units fit `cap`.
 
-    Each entry is [cap, subset, the subset's units or None until needed].
+    Each entry is [cap, subset, the subset's units or None until needed,
+    its exact term log2(1 + the subset's SNR sum)].
     """
     for entry in solved:
-        solved_cap, subset, used = entry
+        solved_cap, subset, used, _ = entry
         if cap == solved_cap:
-            return subset
+            return entry
         if cap < solved_cap:
             if used is None:
                 used = entry[2] = float(units[subset, n].sum())
             if used <= cap:
-                return subset
+                return entry
     return None
 
 
@@ -536,24 +559,31 @@ def weighted_split_selection(
     exactly when its SNR moves that sum (a 1e-17 after a 100 is left out).
 
     The split keeps a running upper bound on its capacity: the sum of its
-    per-subcarrier fractional-knapsack terms (`_plan_splits`), in which
+    per-subcarrier fractional-knapsack terms (`_plan_splits`), or the
+    lower exact terms earlier splits left (`_solved`, below), in which
     each knapsack's exact log2(1 + SNR sum) replaces its subcarrier's term
     once solved.  Before each knapsack, if `_with_margin(bound)` < `floor`,
     the split stops and returns what it has: the all-fit subcarriers, the
     solved ones, and the rest empty.  That selection is feasible and its
     capacity is below `floor`.  With no floor it never stops.  It solves
-    its knapsacks by descending term - estimate, the plan's guess at each
+    its knapsacks by descending plan term - estimate, the plan's guess at each
     one's drop of the bound, ties in index order, so a losing split crosses
     `floor` sooner.  Subcarriers are independent, so a split that does not
     stop returns what it would with no floor.
 
     `_solved`, private to `overall_heuristic`, maps a subcarrier to the
-    knapsacks earlier splits of the same call solved there, and the split
-    adds its own.  One solved at cap u with subset S answers any cap u' in
-    [units(S), u]: `knapsack_01`'s best values rise with the capacity and
-    are flat from units(S) to u, so every traceback comparison at u' comes
-    out as at u, and offers dearer than u' never enter either trace.  A
-    call without it shares nothing.  A cap of 2**53 units or more, which
+    knapsacks earlier splits of the same call solved there, each entry
+    [cap, subset, the subset's units or None until needed, its exact term
+    log2(1 + SNR sum)], and the split adds its own.  `knapsack_01`'s best
+    values never fall as the capacity grows, so one solved at cap u bounds
+    every cap u' <= u there: before its first knapsack, the split takes
+    for each subcarrier it must solve the lower of its fractional term and
+    any such exact term, so its running bound starts lower and may stop
+    it before a knapsack it cannot use.  One solved at cap u with subset S
+    also answers any cap u' in [units(S), u]: the best values are flat
+    from units(S) to u, so every traceback comparison at u' comes out as
+    at u, and offers dearer than u' never enter either trace.  A call
+    without it shares nothing.  A cap of 2**53 units or more, which
     `knapsack_01` refuses by its sub-budget, is refused here by the table
     it would need, as the split knows its usable offers.
     """
@@ -574,23 +604,31 @@ def weighted_split_selection(
     for m, n in zip(rows.tolist(), cols.tolist()):
         subsets[n].append(m)
     terms = plan.terms[row].tolist()
-    bound = _sequential_sum(terms)
     solve = np.flatnonzero(~fits)
     if solve.size > 1:  # largest estimated bound drop first; ties in index order
         solve = solve[np.argsort(plan.estimates[row, solve] - plan.terms[row, solve], kind="stable")]
-    for n in solve.tolist():
+    solve = solve.tolist()
+    if _solved:  # a knapsack solved at a cap >= this split's bounds its value there
+        for n in solve:
+            for solved_cap, _, _, term in _solved.get(n, ()):
+                if solved_cap >= caps[n] and term < terms[n]:
+                    terms[n] = term
+    bound = _sequential_sum(terms)
+    for n in solve:
         if _with_margin(bound) < floor:
             break
-        snr_col, cap = offers.snr[:, n], caps[n]
-        subset = None if _solved is None else _reused(_solved.setdefault(n, []), cap, units, n)
-        if subset is None:
+        cap = caps[n]
+        entry = None if _solved is None else _reused(_solved.setdefault(n, []), cap, units, n)
+        if entry is None:
             if cap >= _EXACT_UNITS:
                 raise _table_refusal(int(np.count_nonzero(usable[:, n])), int(cap) + 1)
+            snr_col = offers.snr[:, n]
             subset = knapsack_01(snr_col, offers.transfer[:, n], sub_budgets[n], resolution)
+            entry = [cap, subset, None, math.log2(1.0 + _sequential_sum(snr_col[subset].tolist()))]
             if _solved is not None:
-                _solved[n].append([cap, subset, None])
-        subsets[n] = subset
-        bound += math.log2(1.0 + _sequential_sum(snr_col[subset].tolist())) - terms[n]
+                _solved[n].append(entry)
+        subsets[n] = entry[1]
+        bound += entry[3] - terms[n]
     return _result(offers, subsets, kind)
 
 
@@ -611,10 +649,9 @@ def sscpa(problem: SelectionProblem) -> SelectionResult:
     there every visit would end its column.
     """
     offers = problem.offers
-    order, size = offers.efficiency_order, offers.m
-    at = order * offers.n + np.arange(offers.n)
-    prices = np.where(offers.snr.take(at) > 0.0, offers.transfer.take(at), math.inf).T.tolist()
-    relays = order.T.tolist()
+    size = offers.m
+    prices = np.where(offers.ordered_snr > 0.0, offers.ordered_transfer, math.inf).T.tolist()
+    relays = offers.efficiency_order.T.tolist()
     cursors = [0] * offers.n
     remaining, cheapest = problem.budget, offers.cheapest
     subsets: list[list[int]] = [[] for _ in range(offers.n)]
@@ -655,10 +692,12 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     ESW, ASW, NSW, SSCPA order, among the candidates that ran.  Only a
     candidate below the final best is skipped or stops, so the result is
     that of all four run in full, ties included.  The splits share the
-    knapsacks they solve: a later split whose cap on a subcarrier lies
-    between an earlier one's subset units and cap there takes that subset
-    without a `knapsack_01` call, the subset the call would return
-    (`weighted_split_selection`).  An ASW or NSW split whose budget weights
+    knapsacks they solve (`weighted_split_selection`): a later split whose
+    cap on a subcarrier lies between an earlier one's subset units and cap
+    there takes that subset without a `knapsack_01` call, the subset the
+    call would return, and one whose cap there is at most the earlier cap
+    starts its running bound from the earlier knapsack's exact term where
+    that is below its fractional term.  An ASW or NSW split whose budget weights
     overflow has bound -inf and never runs; ESW's weights are ones, so ESW
     and SSCPA always compete.  The selection is feasible, so
     its capacity never exceeds `exhaustive_optimum`. It does not dominate
@@ -690,9 +729,9 @@ def best_snr_baseline(problem: SelectionProblem) -> SelectionResult:
     where no later offer fits.
     """
     offers = problem.offers
-    ms, ns = np.nonzero(offers.snr > 0.0)
-    order = np.lexsort((ms, ns, -offers.snr[ms, ns]))
-    ms, ns = ms[order], ns[order]
+    snr = offers.snr.T.ravel()  # subcarrier-major, so stable ties fall by subcarrier, then relay
+    order = np.argsort(-snr, kind="stable")[: np.count_nonzero(snr > 0.0)]
+    ns, ms = np.divmod(order, offers.m)
     remaining, cheapest = problem.budget, offers.cheapest
     subsets: list[list[int]] = [[] for _ in range(offers.n)]
     for m, n, t in zip(ms.tolist(), ns.tolist(), offers.transfer[ms, ns].tolist()):
@@ -729,13 +768,12 @@ def _breakpoint_sweep(offers: OfferMatrix, budget: float, base_snr: np.ndarray):
     1 + b_n + S_n = e_j*mu/ln2.  Offer j is fractional from mu = floor_j*ln2/e_j
     (floor_j: 1 + b_n + the SNR of the offers ahead of it) to that plus
     t_j*ln2, its spend rising with slope 1/ln2: spend is piecewise linear in mu.
-    The offers are read in efficiency order through one flat index, the
-    SNRs whole for the running sums and the rest only at the paid offers,
-    rank by rank.
+    The offers are read in efficiency order as `OfferMatrix` gathered them,
+    the SNRs whole for the running sums and the rest only at the paid
+    offers, rank by rank.
     """
-    n = offers.n
-    at = offers.efficiency_order * n + np.arange(n)  # flat index of each rank's offer
-    snr, price = offers.snr.take(at), offers.transfer.take(at)
+    n, at = offers.n, offers.ordered_at
+    snr, price = offers.ordered_snr, offers.ordered_transfer
     ahead = np.zeros_like(snr)
     np.cumsum(snr[:-1], axis=0, out=ahead[1:])
     paid = np.flatnonzero(price > 0.0)

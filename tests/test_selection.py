@@ -1155,6 +1155,36 @@ def test_sscpa_hand_trace_of_an_offer_that_fits_only_on_the_first_pass():
     assert sscpa(problem).subsets == tuple(reference_sscpa(problem))
 
 
+def test_offers_gather_the_efficiency_order_once_read_only_for_sscpa_the_plan_and_the_sweep():
+    # One OfferMatrix gathers its offers in efficiency order on first use:
+    # the flat index, SNRs and prices equal fresh takes bit for bit, refuse
+    # writes, and are built once.  A parse builds none of them.  SSCPA, the
+    # split plan and the relaxed sweep on one problem read that one gather
+    # and still match their frozen copies.
+    rng = np.random.default_rng(2525)
+    problems = [tie_and_pass_problem(rng) for _ in range(150)] + [sparse_round_problem(rng) for _ in range(50)]
+    problems.append(SelectionProblem(OfferMatrix(np.zeros((0, 3)), np.zeros((0, 3))), 1.0))
+    problems.append(SelectionProblem(offers_from_csv("m,n,gamma_linear,transfer\n0,0,3,0.5\n1,1,2,0.25\n"), 0.6))
+    assert not {"ordered_at", "ordered_snr", "ordered_transfer"} & set(vars(problems[-1].offers))
+    for problem in problems:
+        offers = problem.offers
+        assert sscpa(problem).subsets == tuple(reference_sscpa_walk(problem))
+        gathered = offers.ordered_at, offers.ordered_snr, offers.ordered_transfer
+        at = offers.efficiency_order * offers.n + np.arange(offers.n)
+        for got, want in zip(gathered, (at, offers.snr.take(at), offers.transfer.take(at))):
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = 0
+        plan = problem._split_plan
+        got = problem._split_caps.sub_budgets, problem._split_caps.caps, plan.terms, plan.estimates, plan.bounds
+        for row, want in zip(got, reference_plan_splits(problem)):
+            assert np.asarray(row).tobytes() == np.asarray(want).tobytes()
+        assert plan.snr is offers.ordered_snr
+        sweep_solution(problem)
+        assert all(a is b for a, b in zip(gathered, (offers.ordered_at, offers.ordered_snr, offers.ordered_transfer)))
+
+
 def counting_knapsack(monkeypatch):
     """Record each knapsack_01 call the splits make: its usable offers'
     count, their total price units and the call's budget in units."""
@@ -1550,8 +1580,52 @@ def test_overall_reuses_a_subset_within_its_units_and_cap_and_solves_above_the_c
     assert [split.subsets for split in alone] == [((0,), (0, 1)), ((0,), (1,)), ((0,), (1,))]
 
 
+def reference_subset_shared_overall(problem):
+    """Frozen copy of `overall_heuristic` whose splits share only subsets:
+    SSCPA first, then the splits by plan bound, each stopping at the best
+    capacity so far from its fractional terms alone; a knapsack solved at
+    cap u with subset S answers a later cap in [units(S), u].  It calls
+    `knapsack_01` through the module, so `counting_knapsack` counts it."""
+    offers, resolution = problem.offers, problem.resolution
+    sub_budgets, caps, terms, estimates, bounds = reference_plan_splits(problem)
+    units = np.ceil(offers.transfer * resolution - 1e-9)
+    sscpa_subsets = reference_sscpa_walk(problem)
+    ran = [None, None, None, (sscpa_subsets, reference_capacity(offers, sscpa_subsets))]
+    best = ran[3][1]
+    solved = {}
+    for row in sorted(range(3), key=bounds.__getitem__, reverse=True):
+        if bounds[row] < best:
+            break
+        usable = (offers.snr > 0.0) & (units <= caps[row])
+        fits = ~(np.where(usable, units, 0.0).sum(axis=0) > caps[row])
+        running = np.where(usable, offers.snr, 0.0).cumsum(axis=0)
+        taken = usable & fits
+        taken[1:] &= running[1:] > running[:-1]
+        subsets = [np.flatnonzero(taken[:, n]).tolist() for n in range(offers.n)]
+        bound = reference_sequential_sum(terms[row].tolist())
+        solve = np.flatnonzero(~fits)
+        for n in solve[np.argsort(estimates[row, solve] - terms[row, solve], kind="stable")].tolist():
+            if bound * (1.0 + 1e-9) + 1e-9 < best:
+                break
+            cap, entries = caps[row, n], solved.setdefault(n, [])
+            subset = next((s for c, s in entries if c == cap or (c > cap and units[s, n].sum() <= cap)), None)
+            if subset is None:
+                subset = selection_module.knapsack_01(
+                    offers.snr[:, n], offers.transfer[:, n], sub_budgets[row, n], resolution
+                )
+                entries.append((cap, subset))
+            subsets[n] = subset
+            bound += math.log2(1.0 + reference_sequential_sum(offers.snr[subset, n].tolist())) - terms[row, n]
+        subsets = [tuple(sorted(sub)) for sub in subsets]
+        ran[row] = (subsets, reference_capacity(offers, subsets))
+        best = max(best, ran[row][1])
+    subsets, cap = max([result for result in ran if result is not None], key=lambda result: result[1])
+    return tuple(subsets), cap, reference_spend(offers, subsets)
+
+
 def test_overall_shares_knapsacks_and_equals_its_candidates_run_in_full(monkeypatch, table3_menu):
     # Paper-sized rounds: the table-3 menu (K=10, N=16), 2-18 relays, budgets 8, 16 and 24.
+    # Exact terms never cost a knapsack over the subset-only hand-off, and save some.
     calls = counting_knapsack(monkeypatch)
     original = selection_module.weighted_split_selection
     runs = []
@@ -1561,7 +1635,7 @@ def test_overall_shares_knapsacks_and_equals_its_candidates_run_in_full(monkeypa
         return original(problem, kind, **kwargs)
 
     rng = np.random.default_rng(2121)
-    fewer = 0
+    fewer = fewer_than_subsets = 0
     for _ in range(150):
         offers = accepted_offers(table3_menu, rng.uniform(50.0, 300.0, (int(rng.integers(2, 19)), 16)))
         budget = float(rng.choice([8.0, 16.0, 24.0]))
@@ -1571,9 +1645,14 @@ def test_overall_shares_knapsacks_and_equals_its_candidates_run_in_full(monkeypa
         result = overall_heuristic(SelectionProblem(offers, budget))
         monkeypatch.setattr(selection_module, "weighted_split_selection", original)
         shared = len(calls)
+        subsets, cap, spend = reference_subset_shared_overall(SelectionProblem(offers, budget))
+        subset_only = len(calls) - shared
+        assert (subsets, cap.hex(), spend.hex()) == (result.subsets, result.capacity.hex(), result.spend.hex())
+        assert shared <= subset_only
+        fewer_than_subsets += shared < subset_only
         for kind, floor in runs:  # each split overall ran, alone with the same floor
             original(SelectionProblem(offers, budget), kind, floor=floor)
-        alone = len(calls) - shared
+        alone = len(calls) - shared - subset_only
         assert shared <= alone
         fewer += shared < alone
         fresh = SelectionProblem(offers, budget)
@@ -1584,7 +1663,51 @@ def test_overall_shares_knapsacks_and_equals_its_candidates_run_in_full(monkeypa
         assert (result.subsets, result.capacity.hex(), result.spend.hex()) == (
             first.subsets, first.capacity.hex(), first.spend.hex()
         )
-    assert fewer > 0
+    assert fewer > 0 and fewer_than_subsets > 0
+
+
+def test_a_later_split_stops_before_its_first_knapsack_on_an_earlier_exact_term(monkeypatch):
+    # SSCPA reaches log2(63) + log2(18) = 10.147.  ESW (caps 1375 and 1375)
+    # has the highest plan bound, 10.430, and runs first.  Its largest
+    # estimated drop is subcarrier 1, where the knapsack takes relays 0 and
+    # 2 (SNR 17, 1250 units); its bound falls to log2(54.375) + log2(18) =
+    # 9.93, and ESW stops.  ASW (caps 1747 and 1002, bound 10.282) runs
+    # next.  Its cap on subcarrier 1 is below ESW's 1375, so ESW's exact
+    # term log2(18) bounds ASW there in place of its fractional
+    # log2(19.78); ESW's 1250 units do not fit 1002, so nothing is reused.
+    # ASW's bound starts at log2(62.93) + log2(18) = 10.1456, below SSCPA,
+    # and it stops before its first knapsack.  NSW's bound, 10.051, is
+    # below SSCPA.  Sharing only subsets, ASW would solve subcarrier 0 at
+    # 1747 (relays 0 and 2, 1750 units, do not both fit) before stopping.
+    calls = counting_knapsack(monkeypatch)
+    original = selection_module.weighted_split_selection
+    runs = []
+
+    def recording(problem, kind, **kwargs):
+        runs.append((kind, original(problem, kind, **kwargs)))
+        return runs[-1][1]
+
+    snr = np.array([[23.0, 15.0], [0.0, 15.0], [39.0, 2.0]])
+    transfer = np.array([[1.0, 1.0], [0.0, 0.75], [0.75, 0.25]])
+    problem = SelectionProblem(OfferMatrix(snr, transfer), 2.75)
+    best = sscpa(problem)
+    assert best.subsets == ((0, 2), (1, 2)) and best.capacity == math.log2(63.0) + math.log2(18.0)
+    assert problem._split_caps.caps.tolist() == [[1375.0, 1375.0], [1747.0, 1002.0], [1894.0, 855.0]]
+    bounds = split_bounds(problem)
+    assert bounds[0] > bounds[1] > best.capacity > bounds[2]
+    terms = problem._split_plan.terms
+    assert terms[1, 1] > math.log2(18.0)
+    assert (terms[1, 0] + math.log2(18.0)) * (1.0 + 1e-9) + 1e-9 < best.capacity
+    monkeypatch.setattr(selection_module, "weighted_split_selection", recording)
+    result = overall_heuristic(problem)
+    assert [kind for kind, _ in runs] == [SelectionMethod.ESW, SelectionMethod.ASW]
+    assert calls == [(3, 2000, 1375)]
+    assert (runs[0][1].subsets, runs[1][1].subsets, runs[1][1].capacity) == (((), (0, 2)), ((), ()), 0.0)
+    assert (result.subsets, result.capacity, result.spend) == (best.subsets, best.capacity, best.spend)
+    calls.clear()
+    frozen = reference_subset_shared_overall(SelectionProblem(problem.offers, 2.75))
+    assert calls == [(3, 2000, 1375), (2, 1750, 1747)]
+    assert frozen == (result.subsets, result.capacity, result.spend)
 
 
 @pytest.mark.parametrize("budget", [math.inf, math.nan, -1.0])
