@@ -97,6 +97,31 @@ def _with_margin(bound):
     return bound * (1.0 + 1e-9) + 1e-9
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+class _Gathered:
+    """An `OfferMatrix` array in efficiency order.  The first read of any of
+    them stores all three in the matrix's own dict, where later reads find
+    them without this descriptor."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, offers: OfferMatrix | None, owner: type | None = None):
+        if offers is None:
+            return self
+        at = offers.efficiency_order * offers.n + np.arange(offers.n)
+        vars(offers).update(
+            ordered_at=_read_only(at),
+            ordered_snr=_read_only(offers.snr.take(at)),
+            ordered_transfer=_read_only(offers.transfer.take(at)),
+        )
+        return vars(offers)[self.name]
+
+
 @dataclass(frozen=True)
 class OfferMatrix:
     """Accepted contract pairs per (relay, subcarrier); zeros mean no offer.
@@ -134,23 +159,13 @@ class OfferMatrix:
             object.__setattr__(self, name, _read_only(values))
         object.__setattr__(self, "cheapest", float(transfer.min(where=snr > 0.0, initial=math.inf)))
 
-    # SSCPA, the split plan and the relaxed sweep read the offers in
-    # efficiency order.  Each gather is built once, read-only, on first use,
-    # so a matrix that is only parsed or written holds none of them.
-    @functools.cached_property
-    def ordered_at(self) -> np.ndarray:
-        """The flat index of each (rank, subcarrier) offer in `efficiency_order`."""
-        return _read_only(self.efficiency_order * self.n + np.arange(self.n))
-
-    @functools.cached_property
-    def ordered_snr(self) -> np.ndarray:
-        """The SNRs in `efficiency_order`, (rank, subcarrier)."""
-        return _read_only(self.snr.take(self.ordered_at))
-
-    @functools.cached_property
-    def ordered_transfer(self) -> np.ndarray:
-        """The prices in `efficiency_order`, (rank, subcarrier)."""
-        return _read_only(self.transfer.take(self.ordered_at))
+    # The offers in efficiency order, (rank, subcarrier): the flat index and
+    # the SNRs and prices it gathers, which SSCPA, the split plan and the
+    # relaxed sweep read.  The first read builds all three, read-only, so a
+    # matrix that is only parsed or written holds none of them.
+    ordered_at = _Gathered()
+    ordered_snr = _Gathered()
+    ordered_transfer = _Gathered()
 
     @property
     def m(self) -> int:
@@ -159,11 +174,6 @@ class OfferMatrix:
     @property
     def n(self) -> int:
         return self.snr.shape[1]
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.setflags(write=False)
-    return values
 
 
 def _fast_efficiency(snr: np.ndarray, transfer: np.ndarray) -> np.ndarray | None:
