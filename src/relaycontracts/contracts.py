@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import TypeGrid
+from .distributions import TypeGrid, _derived
 
 __all__ = [
     "ContractPair",
@@ -93,11 +93,7 @@ class ContractMenu:
         """The menu as K `ContractPair`s, lowest type first."""
         return tuple(map(ContractPair, self.snrs.tolist(), self.transfers.tolist()))
 
-    @property
-    def _brackets(self) -> _Brackets | None:  # built on first use, once per menu
-        if "_bracket_table" not in self.__dict__:
-            object.__setattr__(self, "_bracket_table", _bracket_table(self))
-        return self.__dict__["_bracket_table"]
+    _brackets = _derived(lambda menu: _bracket_table(menu))  # a `_Brackets`, or None
 
 
 @dataclass(frozen=True)

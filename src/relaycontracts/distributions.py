@@ -33,6 +33,25 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+class _derived:
+    """The one rule for an object's lazily derived state: the first read
+    stores `build(obj)` in the object's own dict under this attribute's
+    name, where later reads find it without this descriptor.  It takes no
+    lock, and a frozen dataclass still refuses assignment."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner: type | None = None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.build(obj)
+        return value
+
+
 def _check_array_bytes(count: int, what: str) -> None:
     """Refuse, before allocating, a float array of `count` values over the byte cap."""
     if count > _MAX_ARRAY_BYTES // 8:  # not 8 * count, which wraps for a large NumPy count
@@ -63,6 +82,7 @@ class TypeDistribution:
     cdf_points: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", DistributionKind(self.kind))
         if not np.isfinite(self.low) or not np.isfinite(self.high):
             raise ValueError("support must be bounded and finite")
         if self.low < 0.0:
@@ -83,13 +103,14 @@ class TypeDistribution:
             raise ValueError("empirical distribution needs at least two cdf points")
         gains = np.array([g for g, _ in pts], dtype=float)
         probs = np.array([p for _, p in pts], dtype=float)
+        # Each check is written so that a NaN fails it.
         if gains[0] != self.low or gains[-1] != self.high:
             raise ValueError("cdf points must span exactly [low, high]")
-        if np.any(np.diff(gains) <= 0.0):
+        if not np.all(np.diff(gains) > 0.0):
             raise ValueError("cdf point gains must be strictly increasing")
-        if abs(probs[0]) > _PROB_TOL or abs(probs[-1] - 1.0) > _PROB_TOL:
+        if not (abs(probs[0]) <= _PROB_TOL and abs(probs[-1] - 1.0) <= _PROB_TOL):
             raise ValueError("cdf must run from 0 at low to 1 at high")
-        if np.any(np.diff(probs) < -_PROB_TOL):
+        if not np.all(np.diff(probs) >= -_PROB_TOL):
             raise ValueError("cdf must be non-decreasing")
 
     # -- constructors ------------------------------------------------------
@@ -210,12 +231,12 @@ def type_probabilities(
     dists = [dist] if single else list(dist)
     if not single and len(dists) != n_subcarriers:
         raise ValueError(f"got {len(dists)} marginals for {n_subcarriers} subcarriers")
-    if np.any(np.diff(d) <= 0.0):
+    if not np.all(np.diff(d) > 0.0):  # NaN fails this check and the support check
         raise ValueError("deltas must be strictly increasing")
     low, high = dists[0].low, dists[0].high
     if any((f.low, f.high) != (low, high) for f in dists):
         raise ValueError("heterogeneous marginals must share one support")
-    if d[0] < low or d[-1] > high:
+    if not (d[0] >= low and d[-1] <= high):
         raise ValueError("deltas must lie inside the distribution support")
     edges = np.append(d, high)
     if single:

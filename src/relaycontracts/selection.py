@@ -10,7 +10,6 @@ upper bound, and an exhaustive oracle for small instances.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -21,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import _MAX_ARRAY_BYTES, _check_integer
+from .distributions import _MAX_ARRAY_BYTES, _check_integer, _derived
 
 __all__ = [
     "OfferMatrix",
@@ -67,8 +66,9 @@ class SelectionMethod(str, Enum):
 _SPLIT_KINDS = (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW)
 
 
-def _split_row(kind: SelectionMethod) -> int:
-    """The one split-kind check: the kind's row in ESW, ASW, NSW order."""
+def _split_row(kind: SelectionMethod | str) -> int:
+    """The one split-kind check: the kind's row in ESW, ASW, NSW order; a
+    kind given as its string value has the enum's row."""
     if kind not in _SPLIT_KINDS:
         raise ValueError(f"no weight profile for method {kind}")
     return _SPLIT_KINDS.index(kind)
@@ -100,26 +100,6 @@ def _with_margin(bound):
 def _read_only(values: np.ndarray) -> np.ndarray:
     values.setflags(write=False)
     return values
-
-
-class _Gathered:
-    """An `OfferMatrix` array in efficiency order.  The first read of any of
-    them stores all three in the matrix's own dict, where later reads find
-    them without this descriptor."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, offers: OfferMatrix | None, owner: type | None = None):
-        if offers is None:
-            return self
-        at = offers.efficiency_order * offers.n + np.arange(offers.n)
-        vars(offers).update(
-            ordered_at=_read_only(at),
-            ordered_snr=_read_only(offers.snr.take(at)),
-            ordered_transfer=_read_only(offers.transfer.take(at)),
-        )
-        return vars(offers)[self.name]
 
 
 @dataclass(frozen=True)
@@ -161,11 +141,11 @@ class OfferMatrix:
 
     # The offers in efficiency order, (rank, subcarrier): the flat index and
     # the SNRs and prices it gathers, which SSCPA, the split plan and the
-    # relaxed sweep read.  The first read builds all three, read-only, so a
+    # relaxed sweep read.  Each is built read-only on its first read, so a
     # matrix that is only parsed or written holds none of them.
-    ordered_at = _Gathered()
-    ordered_snr = _Gathered()
-    ordered_transfer = _Gathered()
+    ordered_at = _derived(lambda offers: _read_only(offers.efficiency_order * offers.n + np.arange(offers.n)))
+    ordered_snr = _derived(lambda offers: _read_only(offers.snr.take(offers.ordered_at)))
+    ordered_transfer = _derived(lambda offers: _read_only(offers.transfer.take(offers.ordered_at)))
 
     @property
     def m(self) -> int:
@@ -254,17 +234,8 @@ class SelectionProblem:
                 f"{self.resolution} is 2**53 money units or more"
             )
 
-    @property
-    def _split_caps(self) -> _SplitCaps:  # built on first use, once per problem
-        if "_caps" not in self.__dict__:
-            object.__setattr__(self, "_caps", _cap_splits(self))
-        return self.__dict__["_caps"]
-
-    @property
-    def _split_plan(self) -> _SplitPlan:  # built on first use, once per problem
-        if "_plan" not in self.__dict__:
-            object.__setattr__(self, "_plan", _plan_splits(self))
-        return self.__dict__["_plan"]
+    _split_caps = _derived(lambda problem: _cap_splits(problem))
+    _split_plan = _derived(lambda problem: _plan_splits(problem))
 
 
 @dataclass(frozen=True)
@@ -279,8 +250,10 @@ def _check_subsets(offers: OfferMatrix, subsets: Sequence[Sequence[int]]) -> Non
     if len(subsets) != offers.n:
         raise ValueError(f"expected {offers.n} subsets, got {len(subsets)}")
     for sub in subsets:
-        if any(m < 0 or m >= offers.m for m in sub):
-            raise ValueError("relay index out of range")
+        for m in sub:
+            _check_integer("relay index", m)
+            if not 0 <= m < offers.m:
+                raise ValueError("relay index out of range")
         if len(set(sub)) != len(sub):
             raise ValueError("relay index repeated within a subcarrier")
 
@@ -434,12 +407,12 @@ def _price_units(transfers: np.ndarray, resolution: int) -> np.ndarray:
     return np.ceil(transfers * resolution - _UNIT_SNAP)
 
 
-def weight_profile(offers: OfferMatrix, kind: SelectionMethod) -> np.ndarray:
+def weight_profile(offers: OfferMatrix, kind: SelectionMethod | str) -> np.ndarray:
     """Per-subcarrier budget weights: equal, mean-efficiency, or net-efficiency."""
-    _split_row(kind)
-    if kind is SelectionMethod.ESW:
+    row = _split_row(kind)
+    if row == 0:  # ESW
         return np.ones(offers.n)
-    if kind is SelectionMethod.ASW:
+    if row == 1:  # ASW
         if offers.m == 0:
             return np.zeros(offers.n)
         return offers.efficiency.sum(axis=0) / offers.m
@@ -485,18 +458,8 @@ class _SplitPlan:
     units: np.ndarray  # (M, N) each offer's price in money units, rounded up as charged
     usable: np.ndarray  # (3, M, N) the offers each cap lets `knapsack_01` use, in relay order
     terms: np.ndarray  # (3, N) log2(1 + each subcarrier's fractional knapsack optimum)
+    estimates: np.ndarray  # (3, N) log2(1 + SNR of the offers each fractional fill buys whole)
     bounds: list[float]  # each split's capacity bound, -inf where its weights overflow
-    bought: np.ndarray  # (3, M, N) the share of each offer, in efficiency order, the fill buys
-    snr: np.ndarray  # (M, N) the offers' SNRs in efficiency order
-
-    @functools.cached_property
-    def estimates(self) -> np.ndarray:
-        """(3, N) log2(1 + SNR of the offers each fractional fill buys whole).
-
-        Only a split that solves two or more knapsacks reads them, so all
-        three rows are built together on the first such read.
-        """
-        return np.log2(1.0 + (np.floor(self.bought) * self.snr).sum(axis=1))
 
 
 def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
@@ -517,8 +480,8 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
     offers, stage = problem.offers, problem._split_caps
     caps = stage.caps[:, None, :]
     units = _price_units(offers.transfer, problem.resolution)
-    snr = offers.ordered_snr
-    usable = (snr > 0.0) & (units.take(offers.ordered_at) <= caps)
+    relay_usable = (offers.snr > 0.0) & (units <= caps)
+    usable = relay_usable.reshape(3, -1).take(offers.ordered_at, axis=1)  # in efficiency order
     with np.errstate(over="ignore", invalid="ignore"):  # inf caps, shares of prices near 0
         weight = np.where(usable, offers.ordered_transfer * problem.resolution, 0.0)
         ahead = np.zeros_like(weight)
@@ -527,10 +490,10 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
         bought = usable.astype(float)  # the share of each offer: all if free, none if unusable
         np.divide(room - ahead, weight, out=bought, where=weight > 0.0)
     np.minimum(np.maximum(bought, 0.0, out=bought), 1.0, out=bought)
-    terms = np.log2(1.0 + (bought * snr).sum(axis=1))
+    snr = offers.ordered_snr
+    terms, estimates = (np.log2(1.0 + (share * snr).sum(axis=1)) for share in (bought, np.floor(bought)))
     bounds = np.where(stage.weight_sums < math.inf, _with_margin(terms.sum(axis=1)), -math.inf)
-    relay_usable = (offers.snr > 0.0) & (units <= caps)
-    return _SplitPlan(units, relay_usable, terms, bounds.tolist(), bought, snr)
+    return _SplitPlan(units, relay_usable, terms, estimates, bounds.tolist())
 
 
 def _reused(solved: list[list], cap: float, units: np.ndarray, n: int) -> list | None:
@@ -554,7 +517,7 @@ def _reused(solved: list[list], cap: float, units: np.ndarray, n: int) -> list |
 
 def weighted_split_selection(
     problem: SelectionProblem,
-    kind: SelectionMethod,
+    kind: SelectionMethod | str,
     *,
     floor: float = -math.inf,
     _solved: dict[int, list[list]] | None = None,
@@ -598,6 +561,7 @@ def weighted_split_selection(
     it would need, as the split knows its usable offers.
     """
     row = _split_row(kind)
+    kind = _SPLIT_KINDS[row]
     offers, stage, plan = problem.offers, problem._split_caps, problem._split_plan
     if plan.bounds[row] == -math.inf:
         raise ValueError(f"{kind.value} budget weights overflow: their sum is inf")

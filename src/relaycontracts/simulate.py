@@ -82,6 +82,8 @@ class ExperimentConfig:
     resolution: int = 1000
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "menu_kind", MenuKind(self.menu_kind))
+        object.__setattr__(self, "information", Information(self.information))
         for name in ("relays", "budget"):  # as tuples or scalars, configs compare and hash
             value = getattr(self, name)
             if isinstance(value, (list, np.ndarray)):

@@ -520,9 +520,9 @@ def test_only_large_calls_build_the_bracket_table():
     types = np.full((18, 16), 120.0)  # the paper sweep's largest round: 2,880 values
     _respond(paper, types)
     _respond(fine, np.float64(120.0))
-    assert "_bracket_table" not in vars(paper) and "_bracket_table" not in vars(fine)
+    assert "_brackets" not in vars(paper) and "_brackets" not in vars(fine)
     _respond(fine, np.full((3, 32), 120.0))  # a fine-grid round: 28,800 values
-    assert vars(fine)["_bracket_table"] is fine._brackets is not None
+    assert vars(fine)["_brackets"] is fine._brackets is not None
 
 
 @st.composite

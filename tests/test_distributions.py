@@ -10,6 +10,7 @@ from scipy import integrate
 
 import relaycontracts.distributions as distributions_module
 from relaycontracts import (
+    DistributionKind,
     TypeDistribution,
     TypeGrid,
     quantize_types,
@@ -350,3 +351,29 @@ def test_probabilities_match_per_column_evaluation_bitwise(case):
         got = type_probabilities(given_marginals, deltas, len(columns))
         want = per_column(columns)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_distribution_kind_given_as_its_string_is_the_enum():
+    uniform = TypeDistribution("uniform", 50.0, 300.0)
+    assert uniform == TypeDistribution.uniform(50.0, 300.0) and uniform.kind is DistributionKind.UNIFORM
+    assert uniform.cdf(100.0) == TypeDistribution.uniform(50.0, 300.0).cdf(100.0) == 0.2
+    expo = TypeDistribution("truncated_exponential", 50.0, 300.0, 0.01)
+    assert expo.cdf(120.0) == TypeDistribution.truncated_exponential(50.0, 300.0, 0.01).cdf(120.0)
+    with pytest.raises(ValueError, match="'normal' is not a valid DistributionKind"):
+        TypeDistribution("normal", 50.0, 300.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: type_probabilities(TypeDistribution.uniform(50, 300), np.array([50.0, np.nan]), 1),
+     "deltas must be strictly increasing"),
+    (lambda: type_probabilities(TypeDistribution.uniform(50, 300), np.array([np.nan]), 1),
+     "deltas must lie inside the distribution support"),
+    (lambda: TypeDistribution.empirical([(1, 0), (math.nan, 0.5), (3, 1)]),
+     "cdf point gains must be strictly increasing"),
+    (lambda: TypeDistribution.empirical([(1, 0), (2, math.nan), (3, 1)]), "cdf must be non-decreasing"),
+    (lambda: TypeDistribution.empirical([(1, math.nan), (3, 1)]), "cdf must run from 0 at low to 1 at high"),
+    (lambda: TypeDistribution.empirical([(1, 0), (3, math.nan)]), "cdf must run from 0 at low to 1 at high"),
+], ids=["delta", "lone-delta", "gain", "inner-cdf", "cdf-at-low", "cdf-at-high"])
+def test_nan_fails_the_distribution_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -180,6 +181,44 @@ def test_weight_profile_handles_empty_subcarrier():
     offers = OfferMatrix(np.array([[5.0, 0.0]]), np.array([[1.0, 0.0]]))
     assert np.allclose(weight_profile(offers, SelectionMethod.NSW), [5.0, 0.0])
     assert np.allclose(weight_profile(offers, SelectionMethod.ASW), [5.0, 0.0])
+
+
+def test_a_split_kind_given_as_its_string_is_the_enum():
+    # Each kind as a string reads the enum's weights and runs the enum's split
+    # bit for bit, and its result carries the enum, which the CSV writer reads.
+    offers = OfferMatrix(np.array([[3.0, 1.0], [2.0, 0.0]]), np.array([[0.5, 0.2], [0.3, 0.0]]))
+    assert weight_profile(offers, "ESW").tolist() == [1.0, 1.0]
+    for kind in (SelectionMethod.ESW, SelectionMethod.ASW, SelectionMethod.NSW):
+        assert weight_profile(offers, kind.value).tobytes() == weight_profile(offers, kind).tobytes()
+        for budget in (0.3, 0.6, 1.0):
+            got = weighted_split_selection(SelectionProblem(offers, budget), kind.value)
+            want = weighted_split_selection(SelectionProblem(offers, budget), kind)
+            assert got == want and got.method is kind
+            assert selection_to_csv([got]) == selection_to_csv([want])
+    with pytest.raises(ValueError, match="no weight profile for method Overall"):
+        weight_profile(offers, "Overall")
+
+
+def test_capacity_and_spend_refuse_a_relay_index_that_is_not_an_integer():
+    # A float index once read another relay's offer through its flat index.
+    offers = OfferMatrix(np.array([[3.0, 1.0], [2.0, 0.0]]), np.array([[0.5, 0.2], [0.3, 0.0]]))
+    assert (capacity(offers, [[0], []]), total_spend(offers, [[0], []])) == (2.0, 0.5)
+    assert capacity(offers, [[np.int64(1)], [np.int32(0)]]) == math.log2(3.0) + 1.0
+    for index in (0.5, 1.5, 1.0, math.nan, np.float64(0.0), True, np.bool_(False)):
+        for total in (capacity, total_spend):
+            with pytest.raises(ValueError, match=re.escape(f"relay index must be an integer, got {index!r}")):
+                total(offers, [[index], []])
+
+
+def test_derived_state_is_built_on_first_read_and_then_read_from_the_object():
+    offers = offers_1d([3.0, 2.0], [0.5, 0.3])
+    assert not {"ordered_at", "ordered_snr", "ordered_transfer"} & set(vars(offers))
+    snr = offers.ordered_snr
+    assert vars(offers)["ordered_snr"] is snr is offers.ordered_snr
+    assert "ordered_at" in vars(offers) and "ordered_transfer" not in vars(offers)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        offers.ordered_transfer = snr
+    assert "ordered_transfer" not in vars(offers)
 
 
 def test_equal_split_matches_per_subcarrier_knapsack():
@@ -1180,7 +1219,6 @@ def test_offers_gather_the_efficiency_order_once_read_only_for_sscpa_the_plan_an
         got = problem._split_caps.sub_budgets, problem._split_caps.caps, plan.terms, plan.estimates, plan.bounds
         for row, want in zip(got, reference_plan_splits(problem)):
             assert np.asarray(row).tobytes() == np.asarray(want).tobytes()
-        assert plan.snr is offers.ordered_snr
         sweep_solution(problem)
         assert all(a is b for a, b in zip(gathered, (offers.ordered_at, offers.ordered_snr, offers.ordered_transfer)))
 
@@ -1313,8 +1351,8 @@ def reference_plan_splits(problem):
 
 
 def test_split_plan_matches_the_single_pass_plan_bitwise():
-    # The estimates are built apart from the terms, on first read; every row
-    # keeps the bytes of the plan that summed them in one pass.  M up to 20
+    # The plan builds the estimates apart from the terms; every row keeps
+    # the bytes of the plan that summed them in one pass.  M up to 20
     # and N = 1 cover numpy's blocked sums along the relay axis.
     rng = np.random.default_rng(4141)
     problems = [
@@ -1330,7 +1368,6 @@ def test_split_plan_matches_the_single_pass_plan_bitwise():
     overall_heuristic(problems[0])  # every split's free offers fit: no knapsack, no estimates
     for problem in problems:
         stage, plan = problem._split_caps, problem._split_plan
-        assert "estimates" not in vars(plan)
         got = stage.sub_budgets, stage.caps, plan.terms, plan.estimates, plan.bounds
         for row, want in zip(got, reference_plan_splits(problem)):
             assert np.asarray(row).tobytes() == np.asarray(want).tobytes()
@@ -1948,7 +1985,7 @@ def test_property_offers_and_caps_stage_match_the_checked_build_and_the_plan(cas
     sequential = sscpa(problem)
     # The plan is built exactly where the proof fails or SSCPA's capacity is 0.0.
     skipped = problem._split_caps.nothing_fits and sequential.capacity > 0.0
-    assert ("_plan" in vars(problem)) != skipped
+    assert ("_split_plan" in vars(problem)) != skipped
     if skipped:
         assert (result.subsets, result.capacity, result.spend) == (
             sequential.subsets, sequential.capacity, sequential.spend
@@ -2188,7 +2225,7 @@ def assert_caps_stage_matches_the_full_stage(problem):
         plan = problem._split_plan
     order = problem.offers.efficiency_order, np.arange(problem.offers.n)
     assert plan.usable[:, order[0], order[1]].tobytes() == want["ordered"].tobytes()
-    for name in ("units", "usable", "snr"):
+    for name in ("units", "usable"):
         assert getattr(plan, name).tobytes() == want[name].tobytes()
     return proved
 
@@ -2275,7 +2312,7 @@ def test_a_fine_quant_round_prices_only_the_cheapest_offer_and_builds_no_plan(mo
         result = overall_heuristic(problem)
         stage = problem._split_caps
         assert stage.nothing_fits and result.capacity > 0.0
-        assert "_plan" not in vars(problem)
+        assert "_split_plan" not in vars(problem)
         assert np.nanmax(stage.caps) <= 46.0 and problem.offers.cheapest > 0.1
         assert_same_totals(result, problem.offers, reference_sscpa_walk(problem))
         assert_same_totals(best_snr_baseline(problem), problem.offers, reference_best_snr_baseline(problem))

@@ -379,6 +379,26 @@ def test_config_takes_numpy_integer_counts(field):
     assert run_experiment(numpy_config).to_csv() == run_experiment(config).to_csv()
 
 
+def test_string_config_enums_run_the_enum_configs():
+    # A string menu kind or information regime once fell through every `is`
+    # check to the second-best asymmetric round.
+    base = dict(relays=2, budget=4.0, trials=3, subcarriers=4, quant=4)
+    default = run_experiment(ExperimentConfig(**base)).to_csv()
+    for menu_kind in MenuKind:
+        for information in Information:
+            text = ExperimentConfig(menu_kind=menu_kind.value, information=information.value, **base)
+            enum = ExperimentConfig(menu_kind=menu_kind, information=information, **base)
+            assert text == enum and (text.menu_kind, text.information) == (menu_kind, information)
+            assert type(text.menu_kind) is MenuKind and type(text.information) is Information
+            csv = run_experiment(text).to_csv()
+            assert csv == run_experiment(enum).to_csv()
+            assert (csv == default) == ((menu_kind, information) == (MenuKind.SECOND_BEST, Information.ASYMMETRIC))
+    with pytest.raises(ValueError, match="'third_best' is not a valid MenuKind"):
+        ExperimentConfig(menu_kind="third_best")
+    with pytest.raises(ValueError, match="'partial' is not a valid Information"):
+        ExperimentConfig(information="partial")
+
+
 @pytest.mark.parametrize("kind", list(MenuKind))
 def test_round_with_given_menu_matches_round_without(kind):
     config = small_config(relays=5, budget=3.0, menu_kind=kind)
