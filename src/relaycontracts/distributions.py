@@ -83,6 +83,14 @@ class TypeDistribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", DistributionKind(self.kind))
+        if self.cdf_points is not None:  # one stored form, so distributions compare and hash
+            try:
+                points = tuple((float(g), float(p)) for g, p in self.cdf_points)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"cdf points must be (gain, probability) pairs, got {self.cdf_points!r}"
+                ) from None
+            object.__setattr__(self, "cdf_points", points)
         if not np.isfinite(self.low) or not np.isfinite(self.high):
             raise ValueError("support must be bounded and finite")
         if self.low < 0.0:
@@ -101,8 +109,7 @@ class TypeDistribution:
         pts = self.cdf_points
         if pts is None or len(pts) < 2:
             raise ValueError("empirical distribution needs at least two cdf points")
-        gains = np.array([g for g, _ in pts], dtype=float)
-        probs = np.array([p for _, p in pts], dtype=float)
+        gains, probs = np.array(pts).T
         # Each check is written so that a NaN fails it.
         if gains[0] != self.low or gains[-1] != self.high:
             raise ValueError("cdf points must span exactly [low, high]")
@@ -131,11 +138,11 @@ class TypeDistribution:
     def empirical(
         cls, cdf_points: Sequence[tuple[float, float]]
     ) -> "TypeDistribution":
-        pts = tuple((float(g), float(p)) for g, p in cdf_points)
+        pts = tuple(cdf_points)
         if len(pts) < 2:
             raise ValueError("empirical distribution needs at least two cdf points")
         return cls(
-            DistributionKind.EMPIRICAL, pts[0][0], pts[-1][0], cdf_points=pts
+            DistributionKind.EMPIRICAL, float(pts[0][0]), float(pts[-1][0]), cdf_points=pts
         )
 
     # -- distribution functions -------------------------------------------
@@ -156,8 +163,7 @@ class TypeDistribution:
                     above = np.exp(a * np.clip(self.high - x, 0.0, span))
                     out = (above - np.exp(a * span)) / -np.expm1(a * span)
         else:
-            gains = np.array([g for g, _ in self.cdf_points])
-            probs = np.array([p for _, p in self.cdf_points])
+            gains, probs = np.array(self.cdf_points).T
             out = np.interp(x, gains, probs)
         out = np.clip(out, 0.0, 1.0)
         return float(out) if np.isscalar(theta) else out
@@ -184,8 +190,7 @@ class TypeDistribution:
                 else:  # mirrored: high - t, P(high - X >= t) = q, high - X of rate -a
                     out = self.high - np.log(q * -np.expm1(a * span) + np.exp(a * span)) / a
         else:
-            gains = np.array([g for g, _ in self.cdf_points])
-            probs = np.array([p for _, p in self.cdf_points])
+            gains, probs = np.array(self.cdf_points).T
             out = np.interp(q, probs, gains)
         return np.clip(out, self.low, self.high)
 

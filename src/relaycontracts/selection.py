@@ -10,6 +10,7 @@ upper bound, and an exhaustive oracle for small instances.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import warnings
@@ -75,7 +76,10 @@ def _split_row(kind: SelectionMethod | str) -> int:
 
 
 def _check_budget(budget: float, name: str = "budget") -> None:
-    """The one budget check, for budgets and a knapsack's sub-budget; NaN fails it."""
+    """The one budget check, for budgets and a knapsack's sub-budget: a
+    number, not text, a bool or None, finite and non-negative; NaN fails it."""
+    if budget is None or isinstance(budget, (str, bytes, bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {budget!r}")
     if not 0.0 <= budget < math.inf:
         raise ValueError(f"{name} must be finite and non-negative, got {budget}")
 
@@ -496,31 +500,12 @@ def _plan_splits(problem: SelectionProblem) -> _SplitPlan:
     return _SplitPlan(units, relay_usable, terms, estimates, bounds.tolist())
 
 
-def _reused(solved: list[list], cap: float, units: np.ndarray, n: int) -> list | None:
-    """The entry of a knapsack solved on this subcarrier at a cap >= `cap`
-    whose subset's own units fit `cap`.
-
-    Each entry is [cap, subset, the subset's units or None until needed,
-    its exact term log2(1 + the subset's SNR sum)].
-    """
-    for entry in solved:
-        solved_cap, subset, used, _ = entry
-        if cap == solved_cap:
-            return entry
-        if cap < solved_cap:
-            if used is None:
-                used = entry[2] = float(units[subset, n].sum())
-            if used <= cap:
-                return entry
-    return None
-
-
 def weighted_split_selection(
     problem: SelectionProblem,
     kind: SelectionMethod | str,
     *,
     floor: float = -math.inf,
-    _solved: dict[int, list[list]] | None = None,
+    _solved: dict[int, list[tuple]] | None = None,
 ) -> SelectionResult:
     """Split the budget by a weight profile, then solve one knapsack per subcarrier.
 
@@ -545,18 +530,17 @@ def weighted_split_selection(
     stop returns what it would with no floor.
 
     `_solved`, private to `overall_heuristic`, maps a subcarrier to the
-    knapsacks earlier splits of the same call solved there, each entry
-    [cap, subset, the subset's units or None until needed, its exact term
-    log2(1 + SNR sum)], and the split adds its own.  `knapsack_01`'s best
-    values never fall as the capacity grows, so one solved at cap u bounds
-    every cap u' <= u there: before its first knapsack, the split takes
-    for each subcarrier it must solve the lower of its fractional term and
-    any such exact term, so its running bound starts lower and may stop
-    it before a knapsack it cannot use.  One solved at cap u with subset S
-    also answers any cap u' in [units(S), u]: the best values are flat
-    from units(S) to u, so every traceback comparison at u' comes out as
-    at u, and offers dearer than u' never enter either trace.  A call
-    without it shares nothing.  A cap of 2**53 units or more, which
+    knapsacks earlier splits of the same call solved there, as
+    (cap, subset, log2(1 + the subset's SNR sum)) tuples by ascending cap,
+    and the split adds its own.  For each subcarrier it must solve, the
+    split looks up the one solved at the smallest cap u >= its own cap u'.
+    Its term lowers the running bound there, and its subset S is the
+    answer where u = u' or units(S) <= u'; else `knapsack_01` solves it.
+    The rule is exact.  Best values never fall as the cap grows, so no
+    wider knapsack has a lower term.  One with subset S answers every cap
+    in [units(S), u] with S, as the best values are flat there, so if any
+    wider one answers u', the nearest does, with the same subset.  A call
+    without `_solved` shares nothing.  A cap of 2**53 units or more, which
     `knapsack_01` refuses by its sub-budget, is refused here by the table
     it would need, as the split knows its usable offers.
     """
@@ -582,27 +566,29 @@ def weighted_split_selection(
     if solve.size > 1:  # largest estimated bound drop first; ties in index order
         solve = solve[np.argsort(plan.estimates[row, solve] - plan.terms[row, solve], kind="stable")]
     solve = solve.tolist()
-    if _solved:  # a knapsack solved at a cap >= this split's bounds its value there
+    nearest = {}  # per subcarrier, the knapsack solved at the smallest cap >= this split's
+    if _solved:
         for n in solve:
-            for solved_cap, _, _, term in _solved.get(n, ()):
-                if solved_cap >= caps[n] and term < terms[n]:
-                    terms[n] = term
+            for entry in _solved.get(n, ()):  # by ascending cap
+                if entry[0] >= caps[n]:
+                    nearest[n] = entry
+                    terms[n] = min(terms[n], entry[2])
+                    break
     bound = _sequential_sum(terms)
     for n in solve:
         if _with_margin(bound) < floor:
             break
-        cap = caps[n]
-        entry = None if _solved is None else _reused(_solved.setdefault(n, []), cap, units, n)
-        if entry is None:
+        cap, entry = caps[n], nearest.get(n)
+        if entry is None or cap != entry[0] and float(units[entry[1], n].sum()) > cap:
             if cap >= _EXACT_UNITS:
                 raise _table_refusal(int(np.count_nonzero(usable[:, n])), int(cap) + 1)
             snr_col = offers.snr[:, n]
             subset = knapsack_01(snr_col, offers.transfer[:, n], sub_budgets[n], resolution)
-            entry = [cap, subset, None, math.log2(1.0 + _sequential_sum(snr_col[subset].tolist()))]
+            entry = (cap, subset, math.log2(1.0 + _sequential_sum(snr_col[subset].tolist())))
             if _solved is not None:
-                _solved[n].append(entry)
+                bisect.insort(_solved.setdefault(n, []), entry)
         subsets[n] = entry[1]
-        bound += entry[3] - terms[n]
+        bound += entry[2] - terms[n]
     return _result(offers, subsets, kind)
 
 
@@ -666,24 +652,23 @@ def overall_heuristic(problem: SelectionProblem) -> SelectionResult:
     ESW, ASW, NSW, SSCPA order, among the candidates that ran.  Only a
     candidate below the final best is skipped or stops, so the result is
     that of all four run in full, ties included.  The splits share the
-    knapsacks they solve (`weighted_split_selection`): a later split whose
-    cap on a subcarrier lies between an earlier one's subset units and cap
-    there takes that subset without a `knapsack_01` call, the subset the
-    call would return, and one whose cap there is at most the earlier cap
-    starts its running bound from the earlier knapsack's exact term where
-    that is below its fractional term.  An ASW or NSW split whose budget weights
-    overflow has bound -inf and never runs; ESW's weights are ones, so ESW
-    and SSCPA always compete.  The selection is feasible, so
-    its capacity never exceeds `exhaustive_optimum`. It does not dominate
-    `best_snr_baseline` on every instance: each candidate commits money per
-    subcarrier, and the greedy's global packing can win.  The ordering
-    holds on average only.
+    knapsacks they solve (`weighted_split_selection`): on each subcarrier
+    a later split looks up the one solved at the nearest cap at or above
+    its own.  Its exact term bounds the split there, and its subset, where
+    that cap is the split's or the subset's units fit the split's cap, is
+    the subset a `knapsack_01` call would return, taken without one.  An
+    ASW or NSW split whose budget weights overflow has bound -inf and never
+    runs; ESW's weights are ones, so ESW and SSCPA always compete.  The
+    selection is feasible, so its capacity never exceeds
+    `exhaustive_optimum`. It does not dominate `best_snr_baseline` on
+    every instance: each candidate commits money per subcarrier, and the
+    greedy's global packing can win.  The ordering holds on average only.
     """
     ran = [None, None, None, sscpa(problem)]  # by rank: ESW, ASW, NSW, SSCPA
     best = ran[3].capacity
     if not (problem._split_caps.nothing_fits and best > 0.0):
         bounds = problem._split_plan.bounds
-        solved: dict[int, list[list]] = {}  # the knapsacks the splits solve, for the later ones
+        solved: dict[int, list[tuple]] = {}  # the knapsacks the splits solve, for the later ones
         for row in sorted(range(3), key=bounds.__getitem__, reverse=True):  # stable on ties
             if bounds[row] < best:
                 break
@@ -1001,7 +986,7 @@ def selection_to_csv(results: Sequence[SelectionResult], bounds: dict | None = N
     top = max([max(map(max, filter(None, res.subsets)), default=-1) for res in results], default=-1)
     text = list(map(str, range(top + 1))).__getitem__
     for res in results:
-        head, tail = f"{res.method.value},", f",{res.capacity:.12g},{res.spend:.12g}"
+        head, tail = f"{SelectionMethod(res.method).value},", f",{res.capacity:.12g},{res.spend:.12g}"
         picks = [";".join(map(text, sub)) if sub else "" for sub in res.subsets]
         lines += [f"{head}{n},{pick}{tail}" for n, pick in enumerate(picks)]
     for name, value in (bounds or {}).items():

@@ -82,15 +82,14 @@ class ExperimentConfig:
     resolution: int = 1000
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dist, TypeDistribution):
+            raise ValueError(f"dist must be a TypeDistribution, got {self.dist!r}")
         object.__setattr__(self, "menu_kind", MenuKind(self.menu_kind))
         object.__setattr__(self, "information", Information(self.information))
         for name in ("relays", "budget"):  # as tuples or scalars, configs compare and hash
             value = getattr(self, name)
             if isinstance(value, (list, np.ndarray)):
                 object.__setattr__(self, name, tuple(value) if np.ndim(value) else value[()])
-        for b in self.budget if isinstance(self.budget, tuple) else (self.budget,):
-            if isinstance(b, (str, bytes, bool, np.bool_)):
-                raise ValueError(f"budget must be a number, got {b!r}")
         for name in ("quant", "subcarriers", "trials", "seed"):
             _check_integer(name, getattr(self, name))
         if self.quant < 1 or self.subcarriers < 1:
@@ -103,8 +102,8 @@ class ExperimentConfig:
             _check_integer("relay count", m)
             if m < 0:
                 raise ValueError("relay count must be non-negative")
-        for b in self.budget_sweep:
-            _check_budget(b)
+        for b in self.budget if isinstance(self.budget, tuple) else (self.budget,):
+            _check_budget(b)  # before `budget_sweep`'s float(), which reads "1" and True as 1.0
 
     @property
     def relay_sweep(self) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from scipy import integrate
 import relaycontracts.distributions as distributions_module
 from relaycontracts import (
     DistributionKind,
+    ExperimentConfig,
     TypeDistribution,
     TypeGrid,
     quantize_types,
@@ -277,6 +278,18 @@ def test_empirical_cdf_validation():
         TypeDistribution.empirical([(0.0, 0.0), (1.0, 0.9)])  # cdf not reaching 1
     with pytest.raises(ValueError):
         TypeDistribution.empirical([(0.0, 0.0), (1.0, 0.7), (2.0, 0.4), (3.0, 1.0)])
+
+
+def test_empirical_points_are_stored_as_float_pairs_so_distributions_hash():
+    given = TypeDistribution(DistributionKind.EMPIRICAL, 50.0, 300.0, cdf_points=[[50, 0], (300.0, 1)])
+    built = TypeDistribution.empirical([(50, 0), (300, 1)])
+    assert given == built and hash(given) == hash(built)
+    assert hash(ExperimentConfig(dist=given)) == hash(ExperimentConfig(dist=built))
+    assert built.cdf_points == ((50.0, 0.0), (300.0, 1.0))
+    assert all(type(value) is float for point in given.cdf_points for value in point)
+    for points in (5, [(50.0, 0.0, 1.0), (300.0, 1.0)], [(50.0, "low"), (300.0, 1.0)]):
+        with pytest.raises(ValueError, match="cdf points must be"):
+            TypeDistribution(DistributionKind.UNIFORM, 50.0, 300.0, cdf_points=points)
 
 
 def test_type_grid_validation():

@@ -610,6 +610,14 @@ def test_selection_csv_layout():
     assert lines[-1] == "Relaxed,,,3.7,"
 
 
+def test_selection_csv_writes_a_method_given_as_its_string():
+    result = selection_module.SelectionResult(((0,), ()), 1.0, 0.5, SelectionMethod.OVERALL)
+    text = selection_to_csv([dataclasses.replace(result, method="Overall")])
+    assert text == selection_to_csv([result])
+    with pytest.raises(ValueError, match="not a valid SelectionMethod"):
+        selection_to_csv([dataclasses.replace(result, method="Best")])
+
+
 def test_offer_matrix_validation():
     with pytest.raises(ValueError):
         OfferMatrix(np.array([[0.0]]), np.array([[1.0]]))  # null with payment
@@ -628,6 +636,16 @@ def test_offer_matrix_validation():
 def test_selection_problem_rejects_non_finite_budget(budget):
     with pytest.raises(ValueError, match="budget must be finite"):
         SelectionProblem(offers_1d([1.0], [1.0]), budget)
+
+
+@pytest.mark.parametrize("budget", ["1", b"1", True, np.bool_(False), None])
+def test_every_budget_entry_point_refuses_a_budget_that_is_not_a_number(budget):
+    with pytest.raises(ValueError, match="^budget must be a number, got"):
+        SelectionProblem(offers_1d([1.0], [1.0]), budget)
+    with pytest.raises(ValueError, match="^sub-budget must be a number, got"):
+        knapsack_01(np.array([1.0]), np.array([1.0]), budget, 10)
+    with pytest.raises(ValueError, match="^budget must be a number, got"):
+        ExperimentConfig(budget=budget)
 
 
 # -- frozen reference implementations ---------------------------------------
@@ -1745,6 +1763,122 @@ def test_a_later_split_stops_before_its_first_knapsack_on_an_earlier_exact_term(
     frozen = reference_subset_shared_overall(SelectionProblem(problem.offers, 2.75))
     assert calls == [(3, 2000, 1375), (2, 1750, 1747)]
     assert frozen == (result.subsets, result.capacity, result.spend)
+
+
+def reference_reused(solved, cap, units, n, counts):
+    """Frozen copy of the hand-off lookup the nearest-cap rule replaced: the
+    first entry, in the order the splits solved them, at this cap or at a
+    wider cap whose subset's units fit this one.  Each entry is
+    [cap, subset, the subset's units or None until needed, its exact term].
+    `counts` tallies the lookups that meet two entries at caps >= this one,
+    where the first answer and the nearest entry could differ, and the
+    answers from a wider cap."""
+    counts["two wider"] += sum(bool(cap <= entry[0]) for entry in solved) > 1
+    for entry in solved:
+        solved_cap, subset, used, _ = entry
+        if cap == solved_cap:
+            return entry
+        if cap < solved_cap:
+            if used is None:
+                used = entry[2] = float(units[subset, n].sum())
+            if used <= cap:
+                counts["wider"] += 1
+                return entry
+    return None
+
+
+def reference_handoff_split(problem, kind, *, floor=-math.inf, _solved=None, counts):
+    """Frozen copy of `weighted_split_selection` with its earlier hand-off:
+    `reference_reused`, and a scan that lowers each term to the least exact
+    term solved there at a cap at or above the split's.  It calls
+    `knapsack_01` through the module, as the split does."""
+    row = selection_module._split_row(kind)
+    kind = selection_module._SPLIT_KINDS[row]
+    offers, stage, plan = problem.offers, problem._split_caps, problem._split_plan
+    if plan.bounds[row] == -math.inf:
+        raise ValueError(f"{kind.value} budget weights overflow: their sum is inf")
+    resolution, sub_budgets, caps = problem.resolution, stage.sub_budgets[row], stage.caps[row]
+    units, usable = plan.units, plan.usable[row]
+    fits = ~(np.where(usable, units, 0.0).sum(axis=0) > caps)
+    running = np.where(usable, offers.snr, 0.0).cumsum(axis=0)
+    taken = usable & fits
+    taken[1:] &= running[1:] > running[:-1]
+    subsets = [[] for _ in range(offers.n)]
+    rows, cols = np.nonzero(taken)
+    for m, n in zip(rows.tolist(), cols.tolist()):
+        subsets[n].append(m)
+    terms = plan.terms[row].tolist()
+    solve = np.flatnonzero(~fits)
+    if solve.size > 1:
+        solve = solve[np.argsort(plan.estimates[row, solve] - plan.terms[row, solve], kind="stable")]
+    solve = solve.tolist()
+    if _solved:
+        for n in solve:
+            for solved_cap, _, _, term in _solved.get(n, ()):
+                if solved_cap >= caps[n] and term < terms[n]:
+                    terms[n] = term
+                    counts["lowered"] += 1
+    bound = reference_sequential_sum(terms)
+    for n in solve:
+        if bound * (1.0 + 1e-9) + 1e-9 < floor:
+            break
+        cap = caps[n]
+        entry = None if _solved is None else reference_reused(_solved.setdefault(n, []), cap, units, n, counts)
+        if entry is None:
+            snr_col = offers.snr[:, n]
+            subset = selection_module.knapsack_01(snr_col, offers.transfer[:, n], sub_budgets[n], resolution)
+            entry = [cap, subset, None, math.log2(1.0 + reference_sequential_sum(snr_col[subset].tolist()))]
+            if _solved is not None:
+                _solved[n].append(entry)
+        subsets[n] = entry[1]
+        bound += entry[3] - terms[n]
+    return selection_module._result(offers, subsets, kind)
+
+
+def tie_heavy_problem(rng):
+    """Small offers with integer prices and few distinct SNRs, so offers,
+    subsets and caps tie often, at 1, 10 or 1000 money units per 1.0."""
+    m, n = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+    snr = rng.choice([0.0, 1.0, 2.0, 2.0, 3.0, 5.0], size=(m, n))
+    transfer = np.where(snr > 0.0, rng.integers(0, 4, size=(m, n)), 0).astype(float)
+    budget = float(rng.integers(0, 2 * m * n + 2)) * float(rng.choice([0.25, 0.5, 1.0]))
+    return SelectionProblem(OfferMatrix(snr, transfer), budget, int(rng.choice([1, 10, 1000])))
+
+
+def test_nearest_cap_hand_off_matches_the_frozen_first_answer_hand_off(monkeypatch):
+    # Each instance runs `overall_heuristic` with the library's splits and
+    # with the frozen ones, then the three splits in a drawn order sharing
+    # one hand-off, without a floor, where every later split meets the
+    # knapsacks of both earlier ones.  Knapsack calls (arguments and
+    # order) and results must be the same.
+    calls = []
+    original_knapsack = selection_module.knapsack_01
+
+    def recording(snr_col, transfer_col, sub_budget, resolution):
+        calls.append((snr_col.tobytes(), transfer_col.tobytes(), float(sub_budget).hex(), resolution))
+        return original_knapsack(snr_col, transfer_col, sub_budget, resolution)
+
+    monkeypatch.setattr(selection_module, "knapsack_01", recording)
+    library = selection_module.weighted_split_selection
+    counts = {"two wider": 0, "wider": 0, "lowered": 0}
+
+    def frozen(problem, kind, **kwargs):
+        return reference_handoff_split(problem, kind, counts=counts, **kwargs)
+
+    def run(split, problem, order):
+        calls.clear()
+        monkeypatch.setattr(selection_module, "weighted_split_selection", split)
+        overall = overall_heuristic(problem)
+        solved = {}
+        chain = [split(problem, selection_module._SPLIT_KINDS[row], _solved=solved) for row in order]
+        return calls[:], overall, chain
+
+    rng = np.random.default_rng(2828)
+    for _ in range(2400):
+        problem = tie_heavy_problem(rng)
+        order = rng.permutation(3).tolist()
+        assert run(library, problem, order) == run(frozen, problem, order)
+    assert min(counts.values()) > 0, counts
 
 
 @pytest.mark.parametrize("budget", [math.inf, math.nan, -1.0])

@@ -333,6 +333,12 @@ def test_config_refuses_a_str_or_bool_budget(budget):
         ExperimentConfig(budget=budget)
 
 
+@pytest.mark.parametrize("dist", ["uniform", [TypeDistribution.uniform(50.0, 300.0)] * 16, None])
+def test_config_refuses_a_dist_that_is_not_a_type_distribution(dist):
+    with pytest.raises(ValueError, match="dist must be a TypeDistribution, got"):
+        ExperimentConfig(dist=dist)
+
+
 @pytest.mark.parametrize("field, value", [
     ("budget", math.nan),
     ("budget", math.inf),
